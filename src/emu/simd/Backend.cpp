@@ -2,24 +2,24 @@
 //
 // Runtime backend resolution: the FLEXVEC_SIMD override, CPUID capability
 // queries, and the clamp from a requested backend to one this build and
-// host can execute. Mirrors the FLEXVEC_DISPATCH / DispatchMode plumbing.
+// host can execute.
 //
-// Also pins, at compile time, the opcode/enum layout the kernel-table
-// index helpers (emu/simd/Kernels.h) silently rely on.
+// Also pins, at compile time, the opcode/enum layout the interpreter's
+// kernel-table slot constants (emu/Interp.inc) silently rely on.
 //
 //===----------------------------------------------------------------------===//
 
 #include "emu/Machine.h"
 #include "emu/simd/Kernels.h"
+#include "support/Env.h"
 
-#include <cstdlib>
 #include <cstring>
 
 using namespace flexvec;
 using namespace flexvec::emu;
 
-// The *Idx helpers map opcodes to table slots by subtraction; freeze the
-// enum intervals they assume.
+// A handler's table slot is its opcode's offset inside its family; freeze
+// the enum intervals that assumes.
 #define FV_ASSERT_NEXT(A, B)                                                  \
   static_assert(static_cast<unsigned>(isa::Opcode::B) ==                      \
                     static_cast<unsigned>(isa::Opcode::A) + 1,                \
@@ -85,17 +85,14 @@ bool simd::hostHasAvx512() {
 
 SimdBackend emu::defaultSimdBackend() {
   static const SimdBackend Cached = [] {
-    if (const char *Env = std::getenv("FLEXVEC_SIMD")) {
-      if (std::strcmp(Env, "scalar") == 0)
-        return SimdBackend::Scalar;
-      if (std::strcmp(Env, "avx2") == 0)
-        return SimdBackend::Avx2;
-      if (std::strcmp(Env, "avx512") == 0)
-        return SimdBackend::Avx512;
-      if (std::strcmp(Env, "native") == 0)
-        return SimdBackend::Native;
-    }
-    return SimdBackend::Native;
+    const char *Env = envValue("FLEXVEC_SIMD");
+    if (!Env)
+      return SimdBackend::Native;
+    for (SimdBackend B : {SimdBackend::Scalar, SimdBackend::Avx2,
+                          SimdBackend::Avx512, SimdBackend::Native})
+      if (std::strcmp(Env, simdBackendName(B)) == 0)
+        return B;
+    rejectEnv("FLEXVEC_SIMD", Env, "scalar, avx2, avx512 or native");
   }();
   return Cached;
 }

@@ -3,23 +3,24 @@
 #include "isa/Opcode.h"
 
 #include "isa/Reg.h"
+#include "support/ArgParse.h"
+#include "support/Env.h"
 #include "support/Error.h"
-
-#include <cstdlib>
 
 using namespace flexvec;
 using namespace flexvec::isa;
 
 VectorConfig isa::defaultVectorConfig() {
   static const VectorConfig Cached = [] {
-    if (const char *Env = std::getenv("FLEXVEC_VL")) {
-      char *End = nullptr;
-      unsigned long Bits = std::strtoul(Env, &End, 10);
-      if (End && *End == '\0' && VectorConfig::isValidBits(
-                                     static_cast<unsigned>(Bits)))
-        return VectorConfig(static_cast<unsigned>(Bits) / 8);
-    }
-    return VectorConfig();
+    const char *Env = envValue("FLEXVEC_VL");
+    if (!Env)
+      return VectorConfig();
+    uint64_t Bits = 0;
+    if (!parseUInt(Env, Bits) || Bits > 2048 ||
+        !VectorConfig::isValidBits(static_cast<unsigned>(Bits)))
+      rejectEnv("FLEXVEC_VL", Env, "a vector width in bits: 128, 256, 512, "
+                                   "1024 or 2048");
+    return VectorConfig(static_cast<unsigned>(Bits) / 8);
   }();
   return Cached;
 }

@@ -91,9 +91,9 @@ struct VectorConfig {
 };
 
 /// Process-default vector configuration: the FLEXVEC_VL environment
-/// variable (in bits: 128, 256, 512, 1024, 2048) when set and valid,
-/// otherwise the 512-bit default. Read once and cached, matching the
-/// FLEXVEC_DISPATCH / FLEXVEC_SIMD override pattern.
+/// variable (in bits: 128, 256, 512, 1024, 2048), or the 512-bit default
+/// when it is unset or empty. Any other value exits the process with
+/// status 2, naming the variable. Read once and cached, like FLEXVEC_SIMD.
 VectorConfig defaultVectorConfig();
 
 inline bool isFloatType(ElemType Ty) {

@@ -3,8 +3,8 @@
 // Adapts the 18 Table 2 benchmarks onto core::runSweep: builds the
 // benchmark set at a given iteration scale and exposes it as the engine's
 // SweepWorkload views, plus the one-call wrapper every driver
-// (flexvec-bench, bench_figure8, the determinism tests) goes through so
-// they all measure exactly the same matrix.
+// (flexvec-bench, the determinism tests) goes through so they all
+// measure exactly the same matrix.
 //
 //===----------------------------------------------------------------------===//
 

@@ -1,9 +1,10 @@
 //===- tests/CliSmokeTest.cpp - Driver binary smoke tests ------------------===//
 //
-// Runs the installed flexvec-cli and flexvec-bench binaries as a user
-// would and checks the argument-parsing contract: unknown flags and
-// malformed values exit with status 2 and print a usage hint, valid
-// invocations exit 0. Binary paths come from CMake ($<TARGET_FILE:...>).
+// Runs the installed flexvec-cli, flexvec-bench and flexvec-fuzz binaries
+// as a user would and checks the argument-parsing contract: unknown flags
+// and malformed values exit with status 2 and print a usage hint, valid
+// invocations exit 0. Malformed FLEXVEC_* environment knobs fail too.
+// Binary paths come from CMake ($<TARGET_FILE:...>).
 //
 //===----------------------------------------------------------------------===//
 
@@ -12,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <sys/wait.h>
 
 namespace {
@@ -263,6 +265,53 @@ TEST(BenchSmoke, TinyDeterministicRunWritesJson) {
   EXPECT_NE(std::string(Buf).find("flexvec-bench-figure8"),
             std::string::npos);
   std::remove(Out.c_str());
+}
+
+// Run knobs read from the environment fail loudly: a malformed value
+// stops the binary with a non-zero exit naming the variable, instead of
+// silently falling back to a default.
+TEST(EnvKnobs, MalformedValuesRejectedByEveryBinary) {
+  const std::string Out = "cli_smoke_env.json";
+  const std::string Runs[] = {
+      Cli + " " + Argmin + " --trip=64 --run",
+      Bench + " --scale=0.01 --jobs=1 --quiet --out=" + Out,
+      Fuzz + " --count=2 --seed=1 --jobs=1 --quiet",
+  };
+  const std::pair<const char *, const char *> Bad[] = {
+      {"FLEXVEC_VL", "abc"},
+      {"FLEXVEC_VL", "384"},
+      {"FLEXVEC_SIMD", "sse4"},
+      {"FLEXVEC_SIMD", "Native"},
+      {"FLEXVEC_RTM_RETRIES", "many"},
+      {"FLEXVEC_RTM_RETRIES", "-1"},
+  };
+  for (const auto &[Var, Value] : Bad)
+    for (const std::string &Cmd : Runs) {
+      const std::string Full = std::string(Var) + "=" + Value + " " + Cmd;
+      CmdResult R = run(Full);
+      EXPECT_NE(R.Exit, 0) << Full << "\n" << R.Output;
+      EXPECT_NE(R.Output.find(Var), std::string::npos)
+          << Full << ": expected '" << Var << "' in:\n" << R.Output;
+    }
+  std::remove(Out.c_str());
+}
+
+TEST(EnvKnobs, MalformedFaultSeedRejectedByBench) {
+  // Same contract as the --fault-seed flag it defaults: exit 2 and a
+  // usage hint.
+  expectRejected("FLEXVEC_FAULT_SEED=12x " + Bench + " --quiet",
+                 "FLEXVEC_FAULT_SEED");
+  expectRejected("FLEXVEC_FAULT_SEED=-3 " + Bench + " --quiet",
+                 "FLEXVEC_FAULT_SEED");
+}
+
+TEST(EnvKnobs, EmptyValueMeansUnset) {
+  // CI exports FLEXVEC_VL='' on legs that do not pin a width: the run
+  // must take the 512-bit default (16 i32 lanes).
+  CmdResult R = run("FLEXVEC_VL= FLEXVEC_SIMD= FLEXVEC_RTM_RETRIES= " + Cli +
+                    " " + Argmin + " --trip=64 --run");
+  EXPECT_EQ(R.Exit, 0) << R.Output;
+  EXPECT_NE(R.Output.find("VL=16;"), std::string::npos) << R.Output;
 }
 
 } // namespace

@@ -5,7 +5,9 @@
 // (onInstr only, served through the default onBatch shim) observes —
 // same records, same order, same effective-address lists — for every
 // Figure-8 workload x variant cell. Plus structural checks on the batch
-// stream itself (sizes, counts, and the no-sink fast path).
+// stream itself (sizes, counts), and the sinkless contract: attaching a
+// sink changes no ExecStats field beyond TraceBatches, even though
+// sinkless runs skip address collection.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 using namespace flexvec;
@@ -110,6 +113,34 @@ public:
       record(Batch[I]);
   }
 };
+
+/// Every field of ExecStats except TraceBatches, element for element,
+/// opcode counts and the mask-density histogram included.
+void expectStatsEqual(const emu::ExecStats &A, const emu::ExecStats &B,
+                      const std::string &Where) {
+  EXPECT_EQ(A.Instructions, B.Instructions) << Where;
+  EXPECT_EQ(A.Branches, B.Branches) << Where;
+  EXPECT_EQ(A.TakenBranches, B.TakenBranches) << Where;
+  EXPECT_EQ(A.MemoryAccesses, B.MemoryAccesses) << Where;
+  EXPECT_EQ(A.VectorOps, B.VectorOps) << Where;
+  EXPECT_EQ(A.RtmRetries, B.RtmRetries) << Where;
+  EXPECT_EQ(A.RtmFallbacks, B.RtmFallbacks) << Where;
+  EXPECT_EQ(A.RtmBudgetExhausted, B.RtmBudgetExhausted) << Where;
+  EXPECT_EQ(A.BackoffCycles, B.BackoffCycles) << Where;
+  EXPECT_EQ(A.VplSteps, B.VplSteps) << Where;
+  EXPECT_EQ(A.VplPartitions, B.VplPartitions) << Where;
+  EXPECT_EQ(A.FFClips, B.FFClips) << Where;
+  EXPECT_EQ(A.FFSuppressedLanes, B.FFSuppressedLanes) << Where;
+  EXPECT_EQ(A.ConflictChecks, B.ConflictChecks) << Where;
+  EXPECT_EQ(A.ConflictHits, B.ConflictHits) << Where;
+  EXPECT_EQ(A.SimdUnitStrideHits, B.SimdUnitStrideHits) << Where;
+  EXPECT_EQ(A.SimdMaskShortcircuits, B.SimdMaskShortcircuits) << Where;
+  EXPECT_EQ(A.MaskDensity, B.MaskDensity) << Where;
+  EXPECT_EQ(A.MaskDensityUsed, B.MaskDensityUsed) << Where;
+  EXPECT_EQ(A.RtmRetryDepth, B.RtmRetryDepth) << Where;
+  EXPECT_EQ(A.OpcodeCounts, B.OpcodeCounts) << Where;
+  // TraceBatches intentionally excluded: it counts sink deliveries.
+}
 
 TEST(TraceBatch, EveryFigure8CellDeliversIdenticalSequences) {
   workloads::Figure8Suite Suite = workloads::buildFigure8Suite(/*IterationScale=*/0.02);
@@ -204,28 +235,39 @@ TEST(TraceBatch, RecordedStreamsMatchFieldByField) {
 }
 
 TEST(TraceBatch, NoSinkRunStillCountsAccessesButNoBatches) {
+  // Sinkless runs skip address collection and take different paths
+  // (Collect is off), so every cell must show the same stats either way.
   workloads::Figure8Suite Suite = workloads::buildFigure8Suite(/*IterationScale=*/0.02);
-  const core::SweepWorkload &W = Suite.Workloads.front();
-  core::PipelineResult PR = core::compileLoop(*W.F);
-  Rng R(deriveStreamSeed(1, fnv1a64(W.Name)));
-  core::WorkloadInstance In = W.Gen(R);
+  uint64_t CellsChecked = 0;
+  for (const core::SweepWorkload &W : Suite.Workloads) {
+    core::PipelineResult PR = core::compileLoop(*W.F);
+    Rng R(deriveStreamSeed(/*BaseSeed=*/1, fnv1a64(W.Name)));
+    core::WorkloadInstance In = W.Gen(R);
+    for (unsigned V = 0; V < core::NumVariants; ++V) {
+      const codegen::CompiledLoop *CL =
+          core::selectVariant(PR, static_cast<core::VariantId>(V));
+      if (!CL)
+        continue;
+      const std::string Where =
+          W.Name + "/" + core::variantName(static_cast<core::VariantId>(V));
+      BatchSink Sink;
+      core::RunOutcome WithSink =
+          core::runProgramMulti(*W.F, *CL, In.Image, In.Invocations, &Sink);
+      core::RunOutcome NoSink =
+          core::runProgramMulti(*W.F, *CL, In.Image, In.Invocations);
+      ASSERT_TRUE(WithSink.Ok) << Where << ": " << WithSink.Error;
+      ASSERT_TRUE(NoSink.Ok) << Where << ": " << NoSink.Error;
 
-  BatchSink Sink;
-  core::RunOutcome WithSink =
-      core::runProgramMulti(*W.F, PR.Scalar, In.Image, In.Invocations, &Sink);
-  core::RunOutcome NoSink =
-      core::runProgramMulti(*W.F, PR.Scalar, In.Image, In.Invocations);
-  ASSERT_TRUE(WithSink.Ok && NoSink.Ok);
-
-  // Skipping address collection must not change any architectural stat.
-  EXPECT_EQ(NoSink.Exec.Stats.Instructions, WithSink.Exec.Stats.Instructions);
-  EXPECT_EQ(NoSink.Exec.Stats.MemoryAccesses,
-            WithSink.Exec.Stats.MemoryAccesses);
-  EXPECT_EQ(NoSink.MemFingerprint, WithSink.MemFingerprint);
-  EXPECT_EQ(NoSink.LiveOutHash, WithSink.LiveOutHash);
-  EXPECT_EQ(NoSink.Exec.Stats.TraceBatches, 0u)
-      << "no sink, no batch deliveries";
-  EXPECT_GT(WithSink.Exec.Stats.TraceBatches, 0u);
+      expectStatsEqual(NoSink.Exec.Stats, WithSink.Exec.Stats, Where);
+      EXPECT_EQ(NoSink.MemFingerprint, WithSink.MemFingerprint) << Where;
+      EXPECT_EQ(NoSink.LiveOutHash, WithSink.LiveOutHash) << Where;
+      EXPECT_EQ(NoSink.Exec.Stats.TraceBatches, 0u)
+          << Where << ": no sink, no batch deliveries";
+      EXPECT_GT(WithSink.Exec.Stats.TraceBatches, 0u) << Where;
+      ++CellsChecked;
+    }
+  }
+  EXPECT_GE(CellsChecked, 18u * 2u);
 }
 
 } // namespace

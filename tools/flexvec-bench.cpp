@@ -39,6 +39,7 @@
 #include "ir/Parser.h"
 #include "isa/Reg.h"
 #include "support/ArgParse.h"
+#include "support/Env.h"
 #include "support/Json.h"
 #include "support/Table.h"
 #include "workloads/Figure8.h"
@@ -72,10 +73,14 @@ bool parseArgs(int Argc, char **Argv, BenchOptions &Opts) {
   Opts.Sweep.Jobs = 0; // Default: one worker per hardware thread.
   // Environment default for CI chaos sweeps; an explicit --fault-seed=
   // flag overrides it.
-  if (const char *Env = std::getenv("FLEXVEC_FAULT_SEED")) {
+  if (const char *Env = envValue("FLEXVEC_FAULT_SEED")) {
     uint64_t U = 0;
-    if (parseUInt(Env, U))
-      Opts.Sweep.FaultSeed = U;
+    if (!parseUInt(Env, U)) {
+      std::fprintf(stderr, "error: FLEXVEC_FAULT_SEED expects a "
+                           "non-negative integer, got '%s'\n", Env);
+      return false;
+    }
+    Opts.Sweep.FaultSeed = U;
   }
   for (int A = 1; A < Argc; ++A) {
     std::string Arg = Argv[A];
