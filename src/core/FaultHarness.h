@@ -68,6 +68,13 @@ struct DiffVerdict {
   std::string describe() const;
 };
 
+/// Judges a scalar run against a vectorized run of the same inputs under
+/// the same fault plan: equivalent when both completed with matching
+/// outcomes (outcomesMatch: fingerprints and live-outs), or both stopped
+/// with the same stop reason and fault address.
+DiffVerdict judgeDifferential(const ir::LoopFunction &F, FaultedRun Scalar,
+                              FaultedRun Vector);
+
 /// Runs \p ScalarCL and \p VectorCL under identical fault schedules
 /// (separate injector instances, same plan and seeds) and compares the
 /// architectural outcomes.
@@ -90,8 +97,8 @@ FaultedRun runProgramMultiWithFaults(const ir::LoopFunction &F,
                                      const FaultPlan &Plan);
 
 /// Multi-invocation differential: \p ScalarCL and \p VectorCL each run the
-/// whole invocation sequence under identical fault schedules; outcomes
-/// compare via outcomesMatch (folded live-outs + final fingerprint).
+/// whole invocation sequence under identical fault schedules, judged by
+/// judgeDifferential (folded live-outs + final fingerprint).
 DiffVerdict runDifferentialMulti(const ir::LoopFunction &F,
                                  const codegen::CompiledLoop &ScalarCL,
                                  const codegen::CompiledLoop &VectorCL,

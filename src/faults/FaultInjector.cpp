@@ -27,8 +27,13 @@ double hashToUnit(uint64_t Seed, uint64_t Key) {
 } // namespace
 
 void FaultInjector::arm(mem::Memory &M, rtm::TransactionManager *T) {
-  M.setFaultHook(this);
-  ArmedMem = &M;
+  // Without a memory plan the hook could never fault an access, and an
+  // armed hook sends every access down the general path and turns off the
+  // emulator's SIMD fast paths, so a Tx-only plan leaves memory unhooked.
+  if (Mem.enabled()) {
+    M.setFaultHook(this);
+    ArmedMem = &M;
+  }
   if (T) {
     T->setFaultHook(this);
     ArmedTx = T;

@@ -84,6 +84,9 @@ struct TxFaultPlan {
 
 /// Injection counters, for assertions and reports.
 struct InjectorStats {
+  /// Architectural accesses the memory hook saw. The hook is installed
+  /// only for an enabled MemFaultPlan, so this stays 0 under a Tx-only
+  /// plan.
   uint64_t MemAccessesSeen = 0;
   uint64_t MemFaultsInjected = 0;
   uint64_t TxOpsSeen = 0;
@@ -98,8 +101,10 @@ public:
   explicit FaultInjector(MemFaultPlan Mem, TxFaultPlan Tx = TxFaultPlan())
       : Mem(std::move(Mem)), Tx(Tx) {}
 
-  /// Installs this injector into \p M (and \p T if given). The injector
-  /// must outlive the armed objects or be disarmed first.
+  /// Installs this injector into \p M (and \p T if given). The memory
+  /// hook goes in only when the memory plan is enabled(); the Tx hook
+  /// always does. The injector must outlive the armed objects or be
+  /// disarmed first.
   void arm(mem::Memory &M, rtm::TransactionManager *T = nullptr);
   void disarm();
 

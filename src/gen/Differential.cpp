@@ -7,7 +7,10 @@
 #include "core/Pipeline.h"
 #include "driver/Remarks.h"
 #include "ir/Parser.h"
+#include "support/Error.h"
 #include "support/Hash.h"
+
+#include <optional>
 
 using namespace flexvec;
 using namespace flexvec::gen;
@@ -133,6 +136,13 @@ CheckResult gen::checkLoop(const ir::LoopFunction &F, uint64_t InputSeed,
   // RTM retries/falls back and adaptive demotes, but architectural
   // equivalence with the stormed scalar run must hold throughout.
   if (Opts.StormSeed) {
+    // The storm plans differ only in their Tx seed, and the Tx hook is
+    // consulted only inside a transaction. The scalar program has no
+    // XBEGIN, so one stormed scalar run is exactly the run either plan
+    // would give, and both variants are judged against it.
+    if (PR.Scalar.Prog.usesOpcode(isa::Opcode::XBegin))
+      fatalError("scalar program contains XBEGIN; the storm pass cannot "
+                 "share its scalar run across storm plans");
     Rng R(deriveStreamSeed(InputSeed, 0x5702)); // Independent input round.
     InputPlan Plan = Opts.Inputs;
     Plan.Trip = Opts.MinTrip +
@@ -143,6 +153,7 @@ CheckResult gen::checkLoop(const ir::LoopFunction &F, uint64_t InputSeed,
     buildConventionInputs(F, R, Plan, M, B);
     std::vector<ir::Bindings> Invocations(Opts.StormInvocations, B);
 
+    std::optional<core::FaultedRun> Scalar;
     for (core::VariantId V : {core::VariantId::Rtm, core::VariantId::Adaptive}) {
       const codegen::CompiledLoop *CL = core::selectVariant(PR, V);
       if (!CL)
@@ -151,8 +162,12 @@ CheckResult gen::checkLoop(const ir::LoopFunction &F, uint64_t InputSeed,
       FP.Tx.Seed = deriveStreamSeed(Opts.StormSeed, static_cast<uint64_t>(V));
       FP.Tx.AbortProb = Opts.StormAbortProb;
       FP.Tx.Reason = rtm::AbortReason::Conflict;
-      core::DiffVerdict Verdict = core::runDifferentialMulti(
-          F, PR.Scalar, *CL, M, Invocations, FP);
+      if (!Scalar)
+        Scalar = core::runProgramMultiWithFaults(F, PR.Scalar, M,
+                                                 Invocations, FP);
+      core::DiffVerdict Verdict = core::judgeDifferential(
+          F, *Scalar,
+          core::runProgramMultiWithFaults(F, *CL, M, Invocations, FP));
       if (!Verdict.Equivalent)
         return fail(FailureClass::StormDivergence, core::variantName(V),
                     Verdict.Detail + "\n" + Dsl);

@@ -5,6 +5,7 @@
 #include "obs/Metrics.h"
 #include "support/Error.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace flexvec;
@@ -12,6 +13,12 @@ using namespace flexvec::rtm;
 
 namespace {
 constexpr uint64_t LineBytes = 64;
+
+/// Spreads consecutive line numbers across the table (Fibonacci hashing).
+size_t lineHash(uint64_t Line) {
+  uint64_t H = Line * 0x9e3779b97f4a7c15ULL;
+  return static_cast<size_t>(H ^ (H >> 32));
+}
 } // namespace
 
 TxFaultHook::~TxFaultHook() = default;
@@ -46,9 +53,7 @@ bool TransactionManager::begin() {
     return false;
   }
   Active = true;
-  UndoLog.clear();
-  ReadSetLines.clear();
-  WriteSetLines.clear();
+  clearBookkeeping();
   ++Stats.Begins;
   return true;
 }
@@ -64,9 +69,7 @@ bool TransactionManager::commit() {
     }
   }
   Active = false;
-  UndoLog.clear();
-  ReadSetLines.clear();
-  WriteSetLines.clear();
+  clearBookkeeping();
   ++Stats.Commits;
   return true;
 }
@@ -79,15 +82,13 @@ void TransactionManager::abort(AbortReason Reason) {
   // armed fault injector must not be able to corrupt a rollback (real
   // hardware discards the speculative cache lines unconditionally).
   for (auto It = UndoLog.rbegin(); It != UndoLog.rend(); ++It) {
-    mem::AccessResult R = M.poke(It->Addr, It->OldBytes.data(),
-                                 It->OldBytes.size());
+    mem::AccessResult R = M.poke(It->Addr, UndoBytes.data() + It->Off,
+                                 It->Size);
     if (!R.Ok)
       fatalError("rollback write faulted; undo log is corrupt");
   }
   Active = false;
-  UndoLog.clear();
-  ReadSetLines.clear();
-  WriteSetLines.clear();
+  clearBookkeeping();
   ++Stats.Aborts;
   LastAbort = Reason;
   switch (Reason) {
@@ -111,6 +112,54 @@ void TransactionManager::abort(AbortReason Reason) {
     break;
   case AbortReason::None:
     break;
+  }
+}
+
+void TransactionManager::clearBookkeeping() {
+  UndoLog.clear();
+  UndoBytes.clear();
+  ReadSetLines.clear();
+  WriteSetLines.clear();
+}
+
+void TransactionManager::LineSet::insert(uint64_t Line) {
+  if ((Count + 1) * 2 > Slots.size())
+    grow();
+  size_t Mask = Slots.size() - 1;
+  for (size_t I = lineHash(Line) & Mask;; I = (I + 1) & Mask) {
+    Slot &S = Slots[I];
+    if (S.Gen != Gen) {
+      S.Line = Line;
+      S.Gen = Gen;
+      ++Count;
+      return;
+    }
+    if (S.Line == Line)
+      return;
+  }
+}
+
+void TransactionManager::LineSet::clear() {
+  Count = 0;
+  if (++Gen == 0) {
+    // Stamp wrap-around: unstamp every slot so no stale slot matches.
+    for (Slot &S : Slots)
+      S.Gen = 0;
+    Gen = 1;
+  }
+}
+
+void TransactionManager::LineSet::grow() {
+  std::vector<Slot> Old(std::max<size_t>(Slots.size() * 2, 64));
+  Old.swap(Slots);
+  size_t Mask = Slots.size() - 1;
+  for (const Slot &S : Old) {
+    if (S.Gen != Gen)
+      continue;
+    size_t I = lineHash(S.Line) & Mask;
+    while (Slots[I].Gen == Gen)
+      I = (I + 1) & Mask;
+    Slots[I] = S;
   }
 }
 
@@ -174,10 +223,9 @@ bool TransactionManager::write(uint64_t Addr, const void *Data, uint64_t Size,
   }
   // Log old contents before modifying; a failed read of the old contents is
   // a fault on the write address range.
-  UndoRecord Rec;
-  Rec.Addr = Addr;
-  Rec.OldBytes.resize(Size);
-  mem::AccessResult Old = M.read(Addr, Rec.OldBytes.data(), Size);
+  UndoRecord Rec{Addr, UndoBytes.size(), static_cast<size_t>(Size)};
+  UndoBytes.resize(Rec.Off + Rec.Size);
+  mem::AccessResult Old = M.read(Addr, UndoBytes.data() + Rec.Off, Size);
   if (!Old.Ok) {
     Reason = AbortReason::Fault;
     abort(Reason);
@@ -190,7 +238,7 @@ bool TransactionManager::write(uint64_t Addr, const void *Data, uint64_t Size,
     return false;
   }
   Stats.BytesLogged += Size;
-  UndoLog.push_back(std::move(Rec));
+  UndoLog.push_back(Rec);
   if (!trackFootprint(Addr, Size, /*IsWrite=*/true)) {
     Reason = AbortReason::Capacity;
     abort(Reason);

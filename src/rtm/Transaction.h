@@ -6,6 +6,10 @@
 // cache-line granules; exceeding the capacity, touching a faulting address,
 // or an explicit XABORT rolls all tentative memory changes back.
 //
+// The bookkeeping sits on the emulator's transactional access path, so it
+// allocates nothing in steady state: undo bytes live in one reused arena
+// and the footprints in reused generation-stamped line sets.
+//
 // Register rollback is the executing machine's responsibility (it snapshots
 // the register file at XBEGIN); this class owns only the memory side.
 //
@@ -16,8 +20,8 @@
 
 #include "memory/Memory.h"
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 namespace flexvec {
@@ -122,19 +126,46 @@ public:
              AbortReason &Reason);
 
 private:
+  /// Old contents of one logged write: UndoBytes[Off, Off+Size).
   struct UndoRecord {
     uint64_t Addr;
-    std::vector<uint8_t> OldBytes;
+    size_t Off;
+    size_t Size;
+  };
+
+  /// The distinct cache lines a transaction touched. An open-addressed
+  /// table whose slots count only when stamped with the current
+  /// generation, so clear() is O(1) and the storage is reused across
+  /// transactions.
+  class LineSet {
+  public:
+    void insert(uint64_t Line);
+    size_t size() const { return Count; }
+    void clear();
+
+  private:
+    struct Slot {
+      uint64_t Line = 0;
+      uint32_t Gen = 0; ///< Never equal to the live Gen when unused.
+    };
+    void grow();
+
+    std::vector<Slot> Slots; ///< Power-of-two size, at most half full.
+    uint32_t Gen = 1;
+    size_t Count = 0;
   };
 
   bool trackFootprint(uint64_t Addr, uint64_t Size, bool IsWrite);
+  /// Drops the undo log and both footprints (begin, commit and abort).
+  void clearBookkeeping();
 
   mem::Memory &M;
   TxLimits Limits;
   bool Active = false;
   std::vector<UndoRecord> UndoLog;
-  std::unordered_set<uint64_t> ReadSetLines;
-  std::unordered_set<uint64_t> WriteSetLines;
+  std::vector<uint8_t> UndoBytes;
+  LineSet ReadSetLines;
+  LineSet WriteSetLines;
   TxStats Stats;
   TxFaultHook *Hook = nullptr;
   AbortReason LastAbort = AbortReason::None;

@@ -34,6 +34,10 @@
 
 namespace flexvec {
 
+/// Largest --jobs value the drivers accept. Far above any host's hardware
+/// threads, and far below the count at which spawning the workers fails.
+inline constexpr unsigned MaxJobs = 1024;
+
 class ThreadPool {
 public:
   /// \p Workers = 0 asks for one worker per hardware thread.

@@ -68,6 +68,13 @@ TEST(CliSmoke, MalformedNumericFlagsRejected) {
   expectRejected(Cli + " --tx-abort-prob=1.5 " + Argmin, "--tx-abort-prob");
 }
 
+// Values above a flag's ceiling used to crash the process (thread spawn
+// failure, std::bad_alloc, OOM kill); they are usage errors now.
+TEST(CliSmoke, JobsAboveCeilingRejected) {
+  expectRejected(Cli + " --jobs=1025 " + Argmin, "--jobs");
+  expectRejected(Cli + " --jobs=99999999 " + Argmin, "--jobs");
+}
+
 TEST(CliSmoke, MalformedVlRejected) {
   // The --vl contract mirrors --sim-mode: non-power-of-two, out-of-range,
   // and malformed values all exit 2 with a usage hint.
@@ -183,7 +190,33 @@ TEST(BenchSmoke, MalformedSamplingFlagsRejected) {
   expectRejected(Bench + " --sample-seed=bogus", "--sample-seed");
 }
 
+TEST(BenchSmoke, JobsAboveCeilingRejected) {
+  expectRejected(Bench + " --jobs=1025", "0..1024");
+  expectRejected(Bench + " --jobs=99999999", "0..1024");
+}
+
+TEST(BenchSmoke, ScaleAboveCeilingRejected) {
+  expectRejected(Bench + " --scale=16.5", "(0, 16]");
+  expectRejected(Bench + " --scale=1e9", "(0, 16]");
+  expectRejected(Bench + " --scale=inf", "(0, 16]");
+}
+
 const std::string Fuzz = FLEXVEC_FUZZ_PATH;
+
+TEST(FuzzSmoke, JobsAboveCeilingRejected) {
+  expectRejected(Fuzz + " --jobs=1025", "0..1024");
+  expectRejected(Fuzz + " --jobs=99999999", "0..1024");
+}
+
+TEST(FuzzSmoke, MaxTripAboveCeilingRejected) {
+  expectRejected(Fuzz + " --max-trip=1000001", "1..1000000");
+  expectRejected(Fuzz + " --max-trip=99999999999", "1..1000000");
+}
+
+TEST(FuzzSmoke, CountAboveCeilingRejected) {
+  expectRejected(Fuzz + " --count=10000001", "1..10000000");
+  expectRejected(Fuzz + " --count=99999999999", "1..10000000");
+}
 
 TEST(FuzzSmoke, UnknownFlagRejected) {
   CmdResult R = run(Fuzz + " --bogus");

@@ -11,14 +11,22 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/FaultHarness.h"
+#include "core/ParallelEvaluator.h"
 #include "core/Pipeline.h"
 #include "emu/Machine.h"
 #include "faults/FaultInjector.h"
+#include "gen/Differential.h"
+#include "gen/Gen.h"
+#include "ir/Parser.h"
 #include "isa/Program.h"
+#include "support/Hash.h"
 #include "support/Random.h"
 #include "workloads/PaperLoops.h"
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <sstream>
 
 using namespace flexvec;
 using namespace flexvec::isa;
@@ -220,6 +228,171 @@ TEST(FaultDifferential, DemoteThenRecoverStaysDemotedAndExact) {
     EXPECT_EQ(D.State, 1u)
         << C.Name << ": must stay demoted once the abort budget was burned";
   }
+}
+
+// --- The storm pass's shared scalar run and hook arming ----------------===//
+
+namespace {
+
+const char *const CorpusLoops[] = {
+    "argmin_key2",      "find_sentinel", "histogram_weighted",
+    "exit_then_update", "masked_else",   "update_conflict",
+    "nested_gather",    "stride_probe",  "gather_heavy"};
+
+/// A checked-in corpus loop (tests/corpus/NAME.fv) compiled, with inputs
+/// built the way gen::checkLoop builds its storm pass's inputs.
+struct StormCase {
+  std::unique_ptr<ir::LoopFunction> F;
+  core::PipelineResult PR;
+  mem::Memory Image;
+  std::vector<ir::Bindings> Invocations;
+};
+
+StormCase loadStormCase(const std::string &Name) {
+  StormCase C;
+  std::string Path =
+      std::string(FLEXVEC_SOURCE_DIR) + "/tests/corpus/" + Name + ".fv";
+  std::ifstream In(Path);
+  EXPECT_TRUE(In.good()) << "cannot read " << Path;
+  std::ostringstream SS;
+  SS << In.rdbuf();
+  ir::ParseResult P = ir::parseLoop(SS.str());
+  EXPECT_TRUE(P) << Path << ": " << P.Error;
+  C.F = std::move(P.F);
+  C.PR = core::compileLoop(*C.F);
+
+  const gen::Envelope E = gen::Envelope::classic();
+  Rng R(fnv1a64(Name));
+  gen::InputPlan Plan;
+  Plan.Trip = 300;
+  Plan.IndexMask = E.IndexMask;
+  Plan.IndexBound = E.TableSize;
+  Plan.ArraySlack = E.MaxAffineOffset + 4;
+  ir::Bindings B = ir::Bindings::forFunction(*C.F);
+  gen::buildConventionInputs(*C.F, R, Plan, C.Image, B);
+  C.Invocations.assign(gen::CheckOptions().StormInvocations, B);
+  return C;
+}
+
+/// gen::checkLoop's conflict-storm plan for variant \p V.
+core::FaultPlan stormPlan(uint64_t StormSeed, core::VariantId V) {
+  core::FaultPlan FP;
+  FP.Tx.Seed = deriveStreamSeed(StormSeed, static_cast<uint64_t>(V));
+  FP.Tx.AbortProb = gen::CheckOptions().StormAbortProb;
+  FP.Tx.Reason = rtm::AbortReason::Conflict;
+  return FP;
+}
+
+void expectSameRun(const core::FaultedRun &A, const core::FaultedRun &B,
+                   const std::string &Where) {
+  const core::RunOutcome &X = A.Outcome, &Y = B.Outcome;
+  EXPECT_EQ(X.Ok, Y.Ok) << Where;
+  EXPECT_EQ(X.Exec.Reason, Y.Exec.Reason) << Where;
+  EXPECT_EQ(X.Exec.FaultAddr, Y.Exec.FaultAddr) << Where;
+  EXPECT_EQ(X.Exec.FaultPC, Y.Exec.FaultPC) << Where;
+  EXPECT_EQ(X.Exec.Stats.Instructions, Y.Exec.Stats.Instructions) << Where;
+  EXPECT_EQ(X.Exec.Stats.MemoryAccesses, Y.Exec.Stats.MemoryAccesses)
+      << Where;
+  EXPECT_EQ(X.Exec.Stats.OpcodeCounts, Y.Exec.Stats.OpcodeCounts) << Where;
+  EXPECT_EQ(X.MemFingerprint, Y.MemFingerprint) << Where;
+  EXPECT_EQ(X.LiveOuts, Y.LiveOuts) << Where;
+  EXPECT_EQ(X.LiveOutHash, Y.LiveOutHash) << Where;
+  EXPECT_EQ(X.Mem.TlbHits, Y.Mem.TlbHits) << Where;
+  EXPECT_EQ(X.Mem.TlbMisses, Y.Mem.TlbMisses) << Where;
+  EXPECT_EQ(X.Mem.CowCopies, Y.Mem.CowCopies) << Where;
+  EXPECT_EQ(A.Injection.MemAccessesSeen, B.Injection.MemAccessesSeen)
+      << Where;
+  EXPECT_EQ(A.Injection.MemFaultsInjected, B.Injection.MemFaultsInjected)
+      << Where;
+  EXPECT_EQ(A.Injection.TxOpsSeen, B.Injection.TxOpsSeen) << Where;
+  EXPECT_EQ(A.Injection.TxAbortsInjected, B.Injection.TxAbortsInjected)
+      << Where;
+  EXPECT_EQ(A.Tx.Begins, B.Tx.Begins) << Where;
+  EXPECT_EQ(A.Tx.Commits, B.Tx.Commits) << Where;
+  EXPECT_EQ(A.Tx.Aborts, B.Tx.Aborts) << Where;
+  EXPECT_EQ(A.Tx.InjectedAborts, B.Tx.InjectedAborts) << Where;
+  EXPECT_EQ(A.Tx.BytesLogged, B.Tx.BytesLogged) << Where;
+}
+
+} // namespace
+
+// gen::checkLoop runs the stormed scalar program once and judges both
+// transactional variants against that one run. This is exact only because
+// the scalar program has no XBEGIN, so the storm plans' Tx seeds cannot
+// reach it: its run is the same under the flexvec-rtm plan, the
+// flexvec-adaptive plan and no Tx plan at all.
+TEST(StormScalarRun, IdenticalUnderEveryTxPlan) {
+  for (const char *Name : CorpusLoops) {
+    StormCase C = loadStormCase(Name);
+    ASSERT_TRUE(C.F) << Name;
+    ASSERT_FALSE(C.PR.Scalar.Prog.usesOpcode(Opcode::XBegin)) << Name;
+    auto runScalar = [&](const core::FaultPlan &FP) {
+      return core::runProgramMultiWithFaults(*C.F, C.PR.Scalar, C.Image,
+                                             C.Invocations, FP);
+    };
+
+    core::FaultedRun Rtm = runScalar(stormPlan(77, core::VariantId::Rtm));
+    ASSERT_TRUE(Rtm.Outcome.Ok) << Name << ": " << Rtm.Outcome.Error;
+    EXPECT_EQ(Rtm.Injection.TxOpsSeen, 0u) << Name;
+    EXPECT_EQ(Rtm.Tx.Begins, 0u) << Name;
+    expectSameRun(Rtm, runScalar(stormPlan(77, core::VariantId::Adaptive)),
+                  std::string(Name) + ": rtm vs adaptive plan");
+    expectSameRun(Rtm, runScalar(core::FaultPlan()),
+                  std::string(Name) + ": rtm vs tx-free plan");
+  }
+}
+
+// Only a memory plan hooks memory. A hook sends every access down the
+// general path and turns off the SIMD fast paths, so a Tx-only storm
+// leaves memory unhooked and its non-transactional code (fallback bodies,
+// demoted adaptive invocations) keeps the unit-stride fast path.
+TEST(FaultHookArming, OnlyAMemoryPlanHooksMemory) {
+  mem::Memory M;
+  M.map(0x1000, mem::PageSize);
+  emu::Machine Mach(M);
+  faults::TxFaultPlan TxPlan;
+  TxPlan.AbortProb = 0.75;
+
+  faults::FaultInjector TxOnly(faults::MemFaultPlan(), TxPlan);
+  TxOnly.arm(M, &Mach.tx());
+  EXPECT_EQ(M.faultHook(), nullptr);
+  int32_t V = 0;
+  EXPECT_TRUE(M.readValue(0x1000, V).Ok);
+  EXPECT_EQ(TxOnly.stats().MemAccessesSeen, 0u);
+  TxOnly.disarm();
+
+  faults::MemFaultPlan MemPlan;
+  MemPlan.Ranges.push_back({0x1800, 0x1840, 1.0,
+                            faults::FaultDuration::Persistent});
+  faults::FaultInjector WithMem(MemPlan, TxPlan);
+  WithMem.arm(M, &Mach.tx());
+  EXPECT_EQ(M.faultHook(), &WithMem);
+  EXPECT_TRUE(M.readValue(0x1000, V).Ok);
+  EXPECT_FALSE(M.readValue(0x1800, V).Ok);
+  EXPECT_EQ(WithMem.stats().MemAccessesSeen, 2u);
+  EXPECT_EQ(WithMem.stats().MemFaultsInjected, 1u);
+  WithMem.disarm();
+  EXPECT_EQ(M.faultHook(), nullptr);
+}
+
+// Demoted adaptive invocations run the traditional nest outside any
+// transaction; under a Tx-only storm its unit-stride accesses must take
+// the fast path.
+TEST(FaultHookArming, TxOnlyStormKeepsTheUnitStrideFastPath) {
+  uint64_t Hits = 0;
+  for (const char *Name : CorpusLoops) {
+    StormCase C = loadStormCase(Name);
+    ASSERT_TRUE(C.F) << Name;
+    if (!C.PR.Adaptive)
+      continue;
+    core::FaultedRun Run = core::runProgramMultiWithFaults(
+        *C.F, *C.PR.Adaptive, C.Image, C.Invocations,
+        stormPlan(77, core::VariantId::Adaptive));
+    ASSERT_TRUE(Run.Outcome.Ok) << Name << ": " << Run.Outcome.Error;
+    EXPECT_GT(Run.Injection.TxAbortsInjected, 0u) << Name;
+    Hits += Run.Outcome.Exec.Stats.SimdUnitStrideHits;
+  }
+  EXPECT_GT(Hits, 0u);
 }
 
 // --- Resilience policy, machine level ------------------------------------===//

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <set>
 
 using namespace flexvec;
@@ -174,36 +176,191 @@ TEST_F(RtmTest, NonTransactionalPathPassesThrough) {
   EXPECT_EQ(Tx.stats().Begins, 0u);
 }
 
-/// Property: randomized transactional histories either commit (final state
-/// = all writes applied) or abort (final state = initial).
+// The footprints count distinct lines exactly: the MaxWriteSetLines-th
+// (MaxReadSetLines-th) distinct line still fits, the next one aborts.
+TEST(RtmFootprint, DefaultLimitsAreExactBoundaries) {
+  const TxLimits Limits;
+  for (bool IsWrite : {true, false}) {
+    unsigned Max = IsWrite ? Limits.MaxWriteSetLines : Limits.MaxReadSetLines;
+    Memory Mem;
+    Mem.map(0x100000, (Max + 1) * 64);
+    TransactionManager Tx(Mem, Limits);
+    ASSERT_TRUE(Tx.begin());
+    AbortReason Reason = AbortReason::None;
+    int32_t V = 1;
+    auto touchLine = [&](unsigned Line) {
+      uint64_t Addr = 0x100000 + static_cast<uint64_t>(Line) * 64;
+      return IsWrite ? Tx.write(Addr, &V, 4, Reason)
+                     : Tx.read(Addr, &V, 4, Reason);
+    };
+    for (unsigned Line = 0; Line < Max; ++Line)
+      ASSERT_TRUE(touchLine(Line)) << (IsWrite ? "write " : "read ") << Line;
+    EXPECT_TRUE(Tx.isActive());
+    EXPECT_FALSE(touchLine(Max)) << "one line past the limit";
+    EXPECT_EQ(Reason, AbortReason::Capacity);
+    EXPECT_EQ(Tx.stats().AbortsByCapacity, 1u);
+    EXPECT_EQ(Mem.get<int32_t>(0x100000), 0) << "rolled back";
+  }
+}
+
+// Re-touching a line adds nothing to a footprint; an access straddling a
+// line boundary adds both lines.
+TEST_F(RtmTest, FootprintCountsDistinctLinesIncludingStraddles) {
+  for (bool IsWrite : {true, false}) {
+    TxLimits Limits;
+    Limits.MaxWriteSetLines = 3;
+    Limits.MaxReadSetLines = 3;
+    TransactionManager Tx(M, Limits);
+    AbortReason Reason = AbortReason::None;
+    int32_t V = 5;
+    auto touch = [&](uint64_t Addr) {
+      return IsWrite ? Tx.write(Addr, &V, 4, Reason)
+                     : Tx.read(Addr, &V, 4, Reason);
+    };
+    ASSERT_TRUE(Tx.begin());
+    for (int I = 0; I < 10; ++I)
+      ASSERT_TRUE(touch(0x1000 + 4 * static_cast<uint64_t>(I)))
+          << "re-touching line 0 must not grow the footprint";
+    ASSERT_TRUE(touch(0x1000 + 2 * 64 - 2)) << "lines 1 and 2: 3 in all";
+    ASSERT_TRUE(touch(0x1000 + 2 * 64 + 8)) << "line 2 again";
+    EXPECT_FALSE(touch(0x1000 + 3 * 64)) << "a fourth line exceeds 3";
+    EXPECT_EQ(Reason, AbortReason::Capacity);
+
+    // The straddle alone overflows a 2-line limit that one line fits.
+    Limits.MaxWriteSetLines = 2;
+    Limits.MaxReadSetLines = 2;
+    TransactionManager Tx2(M, Limits);
+    ASSERT_TRUE(Tx2.begin());
+    ASSERT_TRUE(IsWrite ? Tx2.write(0x1000, &V, 4, Reason)
+                        : Tx2.read(0x1000, &V, 4, Reason));
+    EXPECT_FALSE(IsWrite ? Tx2.write(0x1000 + 2 * 64 - 2, &V, 4, Reason)
+                         : Tx2.read(0x1000 + 2 * 64 - 2, &V, 4, Reason));
+    EXPECT_EQ(Reason, AbortReason::Capacity);
+  }
+}
+
+// One manager reused across many transactions that end every way a
+// transaction can end: each one must start from empty footprints (it can
+// touch exactly the limit in fresh lines) and an empty undo log (an abort
+// rolls back only its own writes).
+TEST(RtmFootprint, ReusedManagerStartsEveryTransactionEmpty) {
+  constexpr unsigned Lines = 1024, Limit = 8, Txs = 1200;
+  Memory Mem;
+  Mem.map(0x100000, Lines * 64);
+  TxLimits Limits;
+  Limits.MaxWriteSetLines = Limit;
+  Limits.MaxReadSetLines = Limit;
+  TransactionManager Tx(Mem, Limits);
+  std::vector<int32_t> Shadow(Lines, 0);
+  Rng R(13);
+  uint64_t Commits = 0, Aborts = 0, Logged = 0;
+  auto lineAddr = [](size_t L) { return 0x100000 + L * 64; };
+  for (unsigned T = 0; T < Txs; ++T) {
+    std::vector<size_t> Picked;
+    while (Picked.size() < Limit + 1) {
+      size_t L = R.nextBelow(Lines);
+      if (std::find(Picked.begin(), Picked.end(), L) == Picked.end())
+        Picked.push_back(L);
+    }
+    ASSERT_TRUE(Tx.begin());
+    AbortReason Reason = AbortReason::None;
+    std::vector<std::pair<size_t, int32_t>> Writes;
+    for (unsigned I = 0; I < Limit; ++I) {
+      int32_t V = static_cast<int32_t>(R.next()), Got = 0;
+      ASSERT_TRUE(Tx.write(lineAddr(Picked[I]), &V, 4, Reason))
+          << "tx " << T << " write " << I;
+      ASSERT_TRUE(Tx.read(lineAddr(Picked[Limit - 1 - I]), &Got, 4, Reason))
+          << "tx " << T << " read " << I;
+      Writes.push_back({Picked[I], V});
+      Logged += 4;
+    }
+    switch (T % 4) {
+    case 0: // Commit.
+      ASSERT_TRUE(Tx.commit());
+      for (auto &[L, V] : Writes)
+        Shadow[L] = V;
+      ++Commits;
+      break;
+    case 1: // Explicit abort.
+      Tx.abort(AbortReason::Explicit);
+      ++Aborts;
+      break;
+    case 2: { // Fault mid-transaction.
+      int32_t V = 0;
+      EXPECT_FALSE(Tx.read(0x900000, &V, 4, Reason));
+      EXPECT_EQ(Reason, AbortReason::Fault);
+      ++Aborts;
+      break;
+    }
+    case 3: { // Capacity: one line past the limit.
+      int32_t V = 0;
+      EXPECT_FALSE(Tx.write(lineAddr(Picked[Limit]), &V, 4, Reason));
+      EXPECT_EQ(Reason, AbortReason::Capacity);
+      Logged += 4;
+      ++Aborts;
+      break;
+    }
+    }
+    ASSERT_FALSE(Tx.isActive());
+    for (size_t L : Picked)
+      ASSERT_EQ(Mem.get<int32_t>(lineAddr(L)), Shadow[L]) << "tx " << T;
+  }
+  EXPECT_EQ(Tx.stats().Begins, Txs);
+  EXPECT_EQ(Tx.stats().Commits, Commits);
+  EXPECT_EQ(Tx.stats().Aborts, Aborts);
+  EXPECT_EQ(Tx.stats().BytesLogged, Logged);
+}
+
+/// Property: randomized transactional histories of 1/2/4/8-byte writes,
+/// unaligned and page-straddling ones included, either commit (final state
+/// = all writes applied) or abort, explicitly or on a mid-transaction
+/// fault (final state = initial).
 TEST_F(RtmTest, RandomizedAbortCommitProperty) {
   Rng R(7);
-  for (int Case = 0; Case < 100; ++Case) {
-    Memory Mem2;
-    Mem2.map(0x1000, 2 * PageSize);
-    std::vector<int32_t> Shadow(512, 0);
-    TransactionManager Tx(Mem2);
-    Tx.begin();
-    AbortReason Reason;
-    std::vector<std::pair<size_t, int32_t>> Writes;
-    int NumWrites = 1 + static_cast<int>(R.nextBelow(20));
+  constexpr uint64_t Base = 0x1000, Bytes = 2 * PageSize;
+  for (int Case = 0; Case < 300; ++Case) {
+    Memory Mem;
+    Mem.map(Base, Bytes);
+    std::vector<uint8_t> Shadow(Bytes);
+    for (uint8_t &B : Shadow)
+      B = static_cast<uint8_t>(R.next());
+    Mem.poke(Base, Shadow.data(), Bytes);
+    TransactionManager Tx(Mem);
+    ASSERT_TRUE(Tx.begin());
+    AbortReason Reason = AbortReason::None;
+    std::vector<uint8_t> Tentative = Shadow;
+    uint64_t Logged = 0;
+    int NumWrites = 1 + static_cast<int>(R.nextBelow(40));
     for (int W = 0; W < NumWrites; ++W) {
-      size_t Slot = R.nextBelow(512);
-      int32_t Val = static_cast<int32_t>(R.next());
-      int32_t V = Val;
-      ASSERT_TRUE(
-          Tx.write(0x1000 + Slot * 4, &V, 4, Reason));
-      Writes.push_back({Slot, Val});
+      uint64_t Size = uint64_t{1} << R.nextBelow(4);
+      uint64_t Off = R.nextBool(0.25)
+                         ? PageSize - 1 - R.nextBelow(Size) // Straddles.
+                         : R.nextBelow(Bytes - Size + 1);
+      uint64_t Val = R.next();
+      ASSERT_TRUE(Tx.write(Base + Off, &Val, Size, Reason));
+      std::memcpy(Tentative.data() + Off, &Val, Size);
+      Logged += Size;
     }
-    if (R.nextBool(0.5)) {
-      Tx.commit();
-      for (auto &[Slot, Val] : Writes)
-        Shadow[Slot] = Val;
-    } else {
+    EXPECT_EQ(Tx.stats().BytesLogged, Logged);
+    switch (R.nextBelow(3)) {
+    case 0:
+      ASSERT_TRUE(Tx.commit());
+      Shadow = Tentative;
+      break;
+    case 1:
       Tx.abort(AbortReason::Explicit);
+      break;
+    default: {
+      uint64_t Val = 0;
+      EXPECT_FALSE(Tx.write(Base + Bytes - 4, &Val, 8, Reason))
+          << "runs off the mapping";
+      EXPECT_EQ(Reason, AbortReason::Fault);
+      break;
     }
-    for (size_t Slot = 0; Slot < 512; ++Slot)
-      ASSERT_EQ(Mem2.get<int32_t>(0x1000 + Slot * 4), Shadow[Slot]);
+    }
+    std::vector<uint8_t> Final(Bytes);
+    ASSERT_TRUE(Mem.peek(Base, Final.data(), Bytes).Ok);
+    ASSERT_EQ(Final, Shadow) << "case " << Case;
   }
 }
 

@@ -6,9 +6,11 @@
 // and the determinism contract.
 //
 //   flexvec-bench [options]
-//     --jobs=N        worker threads (default: one per hardware thread)
+//     --jobs=N        worker threads, 0..1024 (default 0: one per
+//                     hardware thread)
 //     --seed=N        base seed for the workload input streams (default 1)
-//     --scale=X       iteration scale for the workloads (default 1.0)
+//     --scale=X       iteration scale for the workloads, in (0, 16]
+//                     (default 1.0)
 //     --trips=N       whole-matrix repetitions; trips > 1 exercise the
 //                     compiled-loop cache across sweeps (default 1)
 //     --out=PATH      JSON output path (default BENCH_figure8.json)
@@ -42,6 +44,7 @@
 #include "support/Env.h"
 #include "support/Json.h"
 #include "support/Table.h"
+#include "support/ThreadPool.h"
 #include "workloads/Figure8.h"
 
 #include <cstdio>
@@ -52,6 +55,10 @@
 using namespace flexvec;
 
 namespace {
+
+/// Largest --scale accepted. Workload input images and run lengths grow
+/// with the scale; far beyond this the sweep runs out of memory.
+constexpr double MaxScale = 16.0;
 
 struct BenchOptions {
   core::SweepOptions Sweep;
@@ -87,9 +94,9 @@ bool parseArgs(int Argc, char **Argv, BenchOptions &Opts) {
     uint64_t U = 0;
     double D = 0;
     if (Arg.rfind("--jobs=", 0) == 0) {
-      if (!parseUInt(Arg.substr(7), U)) {
-        std::fprintf(stderr, "error: --jobs expects a non-negative integer, "
-                             "got '%s'\n", Arg.c_str());
+      if (!parseUInt(Arg.substr(7), U) || U > MaxJobs) {
+        std::fprintf(stderr, "error: --jobs expects an integer in 0..%u, "
+                             "got '%s'\n", MaxJobs, Arg.c_str());
         return false;
       }
       Opts.Sweep.Jobs = static_cast<unsigned>(U);
@@ -101,9 +108,9 @@ bool parseArgs(int Argc, char **Argv, BenchOptions &Opts) {
       }
       Opts.Sweep.Seed = U;
     } else if (Arg.rfind("--scale=", 0) == 0) {
-      if (!parseDouble(Arg.substr(8), D) || D <= 0) {
-        std::fprintf(stderr, "error: --scale expects a positive number, "
-                             "got '%s'\n", Arg.c_str());
+      if (!parseDouble(Arg.substr(8), D) || !(D > 0 && D <= MaxScale)) {
+        std::fprintf(stderr, "error: --scale expects a number in (0, %g], "
+                             "got '%s'\n", MaxScale, Arg.c_str());
         return false;
       }
       Opts.Sweep.Scale = D;

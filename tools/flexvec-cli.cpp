@@ -14,7 +14,7 @@
 //     --remarks=json      print ONLY the remark stream as JSON (for
 //                         tooling; suppresses all other output)
 //     --run               execute on random inputs and report timing
-//     --jobs=N            measure the variants on N worker threads
+//     --jobs=N            measure the variants on N worker threads, 0..1024
 //                         (results are identical for every N; default 1)
 //     --trip=N            trip count for --run (default 10000)
 //     --seed=N            PRNG seed for --run (default 1)
@@ -128,8 +128,9 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     } else if (Arg == "--run") {
       Opts.Run = true;
     } else if (Arg.rfind("--jobs=", 0) == 0) {
-      if (!parseUInt(Arg.substr(7), U))
-        return badValue(Arg, "a non-negative integer");
+      if (!parseUInt(Arg.substr(7), U) || U > MaxJobs)
+        return badValue(
+            Arg, ("an integer in 0.." + std::to_string(MaxJobs)).c_str());
       Opts.Jobs = static_cast<unsigned>(U);
     } else if (Arg.rfind("--trip=", 0) == 0) {
       if (!parseInt(Arg.substr(7), I) || I <= 0)

@@ -9,15 +9,15 @@
 // artifacts directory.
 //
 //   flexvec-fuzz [options]
-//     --count=N         generated loops (default 200)
+//     --count=N         generated loops, 1..10000000 (default 200)
 //     --seed=N          base seed; case seeds derive from (seed, index)
 //     --case-seed=N     replay exactly one case by its derived seed
-//     --jobs=N          worker threads (0 = one per hardware thread;
-//                       default 0). Results are a pure function of the
-//                       seeds: any job count yields the same verdicts.
+//     --jobs=N          worker threads, 0..1024 (0 = one per hardware
+//                       thread; default 0). Results are a pure function of
+//                       the seeds: any job count yields the same verdicts.
 //     --envelope=NAME   classic | widened (default widened)
 //     --rounds=N        random-input rounds per loop (default 2)
-//     --max-trip=N      largest random trip count (default 400)
+//     --max-trip=N      largest random trip count, 1..1000000 (default 400)
 //     --storm=0|1       RTM conflict-storm pass on/off (default 1)
 //     --artifacts=DIR   where shrunk reproducers land (default
 //                       fuzz-artifacts; created on first failure)
@@ -50,6 +50,12 @@ using namespace flexvec;
 
 namespace {
 
+/// Ceilings on the sizing flags. Every case's outcome, its loop's DSL
+/// included, is held until the summary (~170 bytes a case), and the trip
+/// count sizes each case's arrays; far larger values exhaust memory.
+constexpr uint64_t MaxCount = 10000000;
+constexpr uint64_t MaxTripCeiling = 1000000;
+
 struct FuzzOptions {
   uint64_t Count = 200;
   uint64_t Seed = 1;
@@ -79,9 +85,10 @@ bool parseArgs(int Argc, char **Argv, FuzzOptions &Opts) {
     std::string Arg = Argv[A];
     uint64_t U = 0;
     if (Arg.rfind("--count=", 0) == 0) {
-      if (!parseUInt(Arg.substr(8), U) || U == 0) {
-        std::fprintf(stderr, "error: --count expects a positive integer, "
-                             "got '%s'\n", Arg.c_str());
+      if (!parseUInt(Arg.substr(8), U) || U == 0 || U > MaxCount) {
+        std::fprintf(stderr, "error: --count expects an integer in "
+                             "1..%llu, got '%s'\n",
+                     static_cast<unsigned long long>(MaxCount), Arg.c_str());
         return false;
       }
       Opts.Count = U;
@@ -100,9 +107,9 @@ bool parseArgs(int Argc, char **Argv, FuzzOptions &Opts) {
       }
       Opts.CaseSeed = U;
     } else if (Arg.rfind("--jobs=", 0) == 0) {
-      if (!parseUInt(Arg.substr(7), U)) {
-        std::fprintf(stderr, "error: --jobs expects a non-negative integer, "
-                             "got '%s'\n", Arg.c_str());
+      if (!parseUInt(Arg.substr(7), U) || U > MaxJobs) {
+        std::fprintf(stderr, "error: --jobs expects an integer in 0..%u, "
+                             "got '%s'\n", MaxJobs, Arg.c_str());
         return false;
       }
       Opts.Jobs = static_cast<unsigned>(U);
@@ -121,9 +128,11 @@ bool parseArgs(int Argc, char **Argv, FuzzOptions &Opts) {
       }
       Opts.Rounds = static_cast<int>(U);
     } else if (Arg.rfind("--max-trip=", 0) == 0) {
-      if (!parseUInt(Arg.substr(11), U) || U == 0) {
-        std::fprintf(stderr, "error: --max-trip expects a positive integer, "
-                             "got '%s'\n", Arg.c_str());
+      if (!parseUInt(Arg.substr(11), U) || U == 0 || U > MaxTripCeiling) {
+        std::fprintf(stderr, "error: --max-trip expects an integer in "
+                             "1..%llu, got '%s'\n",
+                     static_cast<unsigned long long>(MaxTripCeiling),
+                     Arg.c_str());
         return false;
       }
       Opts.MaxTrip = static_cast<int64_t>(U);
