@@ -15,9 +15,10 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Measure.h"
+#include "core/Evaluator.h"
 #include "core/Pipeline.h"
 #include "profile/LoopProfiler.h"
+#include "sim/OooCore.h"
 #include "support/Table.h"
 #include "workloads/Benchmarks.h"
 

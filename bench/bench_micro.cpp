@@ -8,10 +8,11 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Measure.h"
+#include "core/Evaluator.h"
 #include "core/Pipeline.h"
 #include "emu/simd/Kernels.h"
 #include "isa/Program.h"
+#include "sim/OooCore.h"
 #include "workloads/PaperLoops.h"
 
 #include <benchmark/benchmark.h>
@@ -27,9 +28,11 @@ struct Fixture {
   std::unique_ptr<ir::LoopFunction> F = buildH264Loop();
   core::PipelineResult PR = core::compileLoop(*F);
   LoopInputs In;
+  std::vector<ir::Bindings> Once; ///< One invocation with In.B.
   Fixture() {
     Rng R(31);
     In = genH264Inputs(*F, R, 20000, 0.02);
+    Once = {In.B};
   }
 };
 
@@ -43,7 +46,7 @@ void BM_EmulatorScalar(benchmark::State &State) {
   uint64_t Instrs = 0;
   for (auto _ : State) {
     core::RunOutcome Out =
-        core::runProgram(Fx.PR.Scalar, Fx.In.Image, Fx.In.B);
+        core::runProgramMulti(*Fx.F, Fx.PR.Scalar, Fx.In.Image, Fx.Once);
     Instrs += Out.Exec.Stats.Instructions;
     benchmark::DoNotOptimize(Out.MemFingerprint);
   }
@@ -56,7 +59,7 @@ void BM_EmulatorFlexVec(benchmark::State &State) {
   uint64_t Instrs = 0;
   for (auto _ : State) {
     core::RunOutcome Out =
-        core::runProgram(*Fx.PR.FlexVec, Fx.In.Image, Fx.In.B);
+        core::runProgramMulti(*Fx.F, *Fx.PR.FlexVec, Fx.In.Image, Fx.Once);
     Instrs += Out.Exec.Stats.Instructions;
     benchmark::DoNotOptimize(Out.MemFingerprint);
   }
@@ -68,10 +71,12 @@ void BM_EmulatorPlusTimingModel(benchmark::State &State) {
   Fixture &Fx = fixture();
   uint64_t Instrs = 0;
   for (auto _ : State) {
-    core::Measurement M =
-        core::measureProgram(*Fx.PR.FlexVec, Fx.In.Image, Fx.In.B);
-    Instrs += M.Timing.Instructions;
-    benchmark::DoNotOptimize(M.Timing.Cycles);
+    sim::OooCore Core;
+    core::runProgramMulti(*Fx.F, *Fx.PR.FlexVec, Fx.In.Image, Fx.Once,
+                          &Core);
+    sim::SimStats Timing = Core.stats();
+    Instrs += Timing.Instructions;
+    benchmark::DoNotOptimize(Timing.Cycles);
   }
   State.counters["instrs/s"] = benchmark::Counter(
       static_cast<double>(Instrs), benchmark::Counter::kIsRate);
@@ -81,7 +86,7 @@ void BM_ReferenceInterpreter(benchmark::State &State) {
   Fixture &Fx = fixture();
   uint64_t Iters = 0;
   for (auto _ : State) {
-    core::RunOutcome Out = core::runReference(*Fx.F, Fx.In.Image, Fx.In.B);
+    core::RunOutcome Out = core::runReferenceMulti(*Fx.F, Fx.In.Image, Fx.Once);
     benchmark::DoNotOptimize(Out.MemFingerprint);
     Iters += 20000;
   }
@@ -209,8 +214,8 @@ void BM_PredecodeAndSetup(benchmark::State &State) {
   Fixture &Fx = fixture();
   for (auto _ : State) {
     core::RunOutcome Out =
-        core::runProgram(Fx.PR.Scalar, Fx.In.Image, Fx.In.B, nullptr,
-                         /*MaxInstructions=*/1);
+        core::runProgramMulti(*Fx.F, Fx.PR.Scalar, Fx.In.Image, Fx.Once,
+                              nullptr, /*MaxInstructionsPerRun=*/1);
     benchmark::DoNotOptimize(Out.Exec.Stats.Instructions);
   }
 }
@@ -244,7 +249,8 @@ void runTraceDelivery(benchmark::State &State) {
   for (auto _ : State) {
     SinkT Sink;
     core::RunOutcome Out =
-        core::runProgram(*Fx.PR.FlexVec, Fx.In.Image, Fx.In.B, &Sink);
+        core::runProgramMulti(*Fx.F, *Fx.PR.FlexVec, Fx.In.Image, Fx.Once,
+                              &Sink);
     Instrs += Out.Exec.Stats.Instructions;
     benchmark::DoNotOptimize(Sink.Records);
   }
@@ -265,7 +271,7 @@ void BM_TraceDeliveryNoSink(benchmark::State &State) {
   uint64_t Instrs = 0;
   for (auto _ : State) {
     core::RunOutcome Out =
-        core::runProgram(*Fx.PR.FlexVec, Fx.In.Image, Fx.In.B);
+        core::runProgramMulti(*Fx.F, *Fx.PR.FlexVec, Fx.In.Image, Fx.Once);
     Instrs += Out.Exec.Stats.Instructions;
     benchmark::DoNotOptimize(Out.MemFingerprint);
   }

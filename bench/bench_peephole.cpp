@@ -11,8 +11,9 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Measure.h"
+#include "core/Evaluator.h"
 #include "core/Pipeline.h"
+#include "sim/OooCore.h"
 #include "support/Table.h"
 #include "workloads/Benchmarks.h"
 

@@ -14,8 +14,9 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Measure.h"
+#include "core/Evaluator.h"
 #include "core/Pipeline.h"
+#include "sim/OooCore.h"
 #include "support/Table.h"
 #include "workloads/PaperLoops.h"
 
@@ -53,24 +54,39 @@ int main() {
 
   const unsigned Tiles[] = {16, 32, 64, 128, 192, 256, 512, 1024};
 
+  // Runs CL with the Table 1 timing model attached as its trace sink.
+  struct Measured {
+    core::RunOutcome Outcome;
+    sim::SimStats Timing;
+  };
+  auto measure = [](const Case &C, const codegen::CompiledLoop &CL) {
+    sim::OooCore Core;
+    core::RunOutcome Out =
+        core::runProgramMulti(*C.F, CL, C.In.Image, {C.In.B}, &Core);
+    return Measured{std::move(Out), Core.stats()};
+  };
+  auto speedup = [](const Measured &Base, const Measured &M) {
+    return TextTable::fmt(static_cast<double>(Base.Timing.Cycles) /
+                              static_cast<double>(M.Timing.Cycles),
+                          2) +
+           "x";
+  };
+
   for (Case &C : Cases) {
     std::printf("== %s ==\n", C.Name);
     core::PipelineResult FFBuild = core::compileLoop(*C.F);
-    core::Measurement FF =
-        core::measureProgram(*FFBuild.FlexVec, C.In.Image, C.In.B);
-    core::Measurement Scalar =
-        core::measureProgram(FFBuild.Scalar, C.In.Image, C.In.B);
+    Measured FF = measure(C, *FFBuild.FlexVec);
+    Measured Scalar = measure(C, FFBuild.Scalar);
 
     TextTable T({"tile (scalar iters)", "cycles", "vs first-faulting",
                  "speedup vs scalar"});
     T.addRow({"first-faulting build",
               TextTable::fmtInt(static_cast<long long>(FF.Timing.Cycles)),
-              "100.0%", TextTable::fmt(core::speedup(Scalar, FF), 2) + "x"});
+              "100.0%", speedup(Scalar, FF)});
     T.addSeparator();
     for (unsigned Tile : Tiles) {
       core::PipelineResult PR = core::compileLoop(*C.F, Tile);
-      core::Measurement M =
-          core::measureProgram(*PR.Rtm, C.In.Image, C.In.B);
+      Measured M = measure(C, *PR.Rtm);
       // Cross-check correctness while we are here.
       if (M.Outcome.MemFingerprint != FF.Outcome.MemFingerprint) {
         std::printf("tile %u: OUTPUT MISMATCH\n", Tile);
@@ -81,7 +97,7 @@ int main() {
       T.addRow({std::to_string(Tile),
                 TextTable::fmtInt(static_cast<long long>(M.Timing.Cycles)),
                 TextTable::fmtPercent(Rel),
-                TextTable::fmt(core::speedup(Scalar, M), 2) + "x"});
+                speedup(Scalar, M)});
     }
     T.print();
     std::printf("\n");

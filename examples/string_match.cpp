@@ -17,8 +17,9 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Measure.h"
+#include "core/Evaluator.h"
 #include "core/Pipeline.h"
+#include "sim/OooCore.h"
 #include "support/Table.h"
 #include "workloads/PaperLoops.h"
 
@@ -42,16 +43,21 @@ int main() {
   for (int64_t MatchPos : {5L, 100L, 2000L, 20000L, 39999L}) {
     Rng R(9);
     LoopInputs In = genEarlyExitInputs(*F, R, 40000, MatchPos);
-    core::RunOutcome Ref = core::runReference(*F, In.Image, In.B);
-    core::Measurement Scalar =
-        core::measureProgram(PR.Scalar, In.Image, In.B);
-    core::Measurement Flex =
-        core::measureProgram(*PR.FlexVec, In.Image, In.B);
+    core::RunOutcome Ref = core::runReferenceMulti(*F, In.Image, {In.B});
+    // The Table 1 timing model rides on each run as its trace sink.
+    sim::OooCore ScalarCore, FlexCore;
+    core::runProgramMulti(*F, PR.Scalar, In.Image, {In.B}, &ScalarCore);
+    core::RunOutcome FlexOut =
+        core::runProgramMulti(*F, *PR.FlexVec, In.Image, {In.B}, &FlexCore);
+    sim::SimStats Scalar = ScalarCore.stats(), Flex = FlexCore.stats();
     T.addRow({TextTable::fmtInt(MatchPos),
-              TextTable::fmtInt(static_cast<long long>(Scalar.Timing.Cycles)),
-              TextTable::fmtInt(static_cast<long long>(Flex.Timing.Cycles)),
-              TextTable::fmt(core::speedup(Scalar, Flex), 2) + "x",
-              core::outcomesMatch(*F, Ref, Flex.Outcome) ? "yes" : "NO"});
+              TextTable::fmtInt(static_cast<long long>(Scalar.Cycles)),
+              TextTable::fmtInt(static_cast<long long>(Flex.Cycles)),
+              TextTable::fmt(static_cast<double>(Scalar.Cycles) /
+                                 static_cast<double>(Flex.Cycles),
+                             2) +
+                  "x",
+              core::outcomesMatch(*F, Ref, FlexOut) ? "yes" : "NO"});
   }
   T.print();
 
@@ -61,9 +67,11 @@ int main() {
   Rng R(10);
   LoopInputs Tight = genEarlyExitInputs(*F, R, /*N=*/4000, /*MatchPos=*/777,
                                         /*TightPages=*/true);
-  core::RunOutcome Ref = core::runReference(*F, Tight.Image, Tight.B);
-  core::RunOutcome Flex = core::runProgram(*PR.FlexVec, Tight.Image, Tight.B);
-  core::RunOutcome Rtm = core::runProgram(*PR.Rtm, Tight.Image, Tight.B);
+  core::RunOutcome Ref = core::runReferenceMulti(*F, Tight.Image, {Tight.B});
+  core::RunOutcome Flex =
+      core::runProgramMulti(*F, *PR.FlexVec, Tight.Image, {Tight.B});
+  core::RunOutcome Rtm =
+      core::runProgramMulti(*F, *PR.Rtm, Tight.Image, {Tight.B});
   std::printf("  reference best_pos     = %lld\n",
               static_cast<long long>(Ref.LiveOuts[2]));
   std::printf("  flexvec (FF fallback)  = %lld  [%s, ran to completion: %s]\n",

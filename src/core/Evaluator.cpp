@@ -2,22 +2,29 @@
 
 #include "core/Evaluator.h"
 
+#include "support/Hash.h"
+
 #include <cassert>
 
 using namespace flexvec;
 using namespace flexvec::core;
 using namespace flexvec::ir;
 
-void core::setUpDispatchCell(const codegen::CompiledLoop &CL,
-                             mem::Memory &M) {
+namespace {
+
+/// Maps the adaptive dispatch-cell page when \p CL is a flexvec-adaptive
+/// program (no-op otherwise); the cell starts zeroed (promoted state).
+void setUpDispatchCell(const codegen::CompiledLoop &CL, mem::Memory &M) {
   if (CL.Kind != codegen::CodeGenKind::FlexVecAdaptive)
     return;
   M.map(driver::dispatch::CellAddr, driver::dispatch::CellSize);
 }
 
-bool core::tearDownDispatchCell(const codegen::CompiledLoop &CL,
-                                mem::Memory &M,
-                                driver::DispatchCounts &Out) {
+/// Reads the dispatch counters back into \p Out and unmaps the cell page
+/// (so fingerprints stay comparable with the scalar reference). Returns
+/// true when \p CL is flexvec-adaptive.
+bool tearDownDispatchCell(const codegen::CompiledLoop &CL, mem::Memory &M,
+                          driver::DispatchCounts &Out) {
   if (CL.Kind != codegen::CodeGenKind::FlexVecAdaptive)
     return false;
   const uint64_t Base = driver::dispatch::CellAddr;
@@ -36,82 +43,41 @@ bool core::tearDownDispatchCell(const codegen::CompiledLoop &CL,
   return true;
 }
 
-RunOutcome core::runProgram(const codegen::CompiledLoop &CL,
-                            const mem::Memory &BaseImage, const Bindings &B,
-                            emu::TraceSink *Sink, uint64_t MaxInstructions) {
-  RunOutcome Out;
-  mem::Memory M = BaseImage.clone();
-  setUpDispatchCell(CL, M);
-  emu::Machine Machine(M);
-  for (size_t S = 0; S < B.ScalarValues.size(); ++S)
-    Machine.setScalar(codegen::scalarParamReg(static_cast<int>(S)).Index,
-                      B.ScalarValues[S]);
-  for (size_t A = 0; A < B.ArrayBases.size(); ++A)
-    Machine.setScalar(codegen::arrayBaseReg(static_cast<int>(A)).Index,
-                      static_cast<int64_t>(B.ArrayBases[A]));
-  emu::RunLimits Limits;
-  Limits.MaxInstructions = MaxInstructions;
-  Out.Exec = Machine.run(CL.Prog, Limits, Sink);
-  Out.Tx = Machine.txStats();
-  Out.Mem = M.stats();
-  Out.Ok = Out.Exec.Reason == emu::StopReason::Halted;
-  if (!Out.Ok)
-    Out.Error = Out.Exec.describe();
-  Out.HasDispatch = tearDownDispatchCell(CL, M, Out.Dispatch);
-  Out.MemFingerprint = M.fingerprint();
-  for (size_t S = 0; S < B.ScalarValues.size(); ++S)
-    Out.LiveOuts.push_back(Machine.getScalar(
-        codegen::scalarParamReg(static_cast<int>(S)).Index));
-  return Out;
-}
-
-RunOutcome core::runReference(const LoopFunction &F,
-                              const mem::Memory &BaseImage,
-                              const Bindings &B) {
-  RunOutcome Out;
-  mem::Memory M = BaseImage.clone();
-  Bindings Work = B;
-  Interpreter Interp(M);
-  InterpResult R = Interp.run(F, Work);
-  Out.Ok = !R.Faulted;
-  if (R.Faulted)
-    Out.Error = "reference memory fault at address " +
-                std::to_string(R.FaultAddr);
-  Out.MemFingerprint = M.fingerprint();
-  Out.LiveOuts = Work.ScalarValues;
-  return Out;
-}
-
-namespace {
-
-uint64_t hashCombine(uint64_t H, uint64_t V) {
-  H ^= V + 0x9e3779b97f4a7c15ULL + (H << 6) + (H >> 2);
-  return H;
-}
-
-uint64_t foldLiveOuts(const LoopFunction &F, uint64_t H,
-                      const std::vector<int64_t> &LiveOuts) {
+/// Stores one completed invocation's scalar values and folds its live-outs
+/// into the outcome's running hash.
+void recordLiveOuts(const LoopFunction &F, RunOutcome &Out,
+                    std::vector<int64_t> Values) {
+  Out.LiveOuts = std::move(Values);
   for (size_t S = 0; S < F.scalars().size(); ++S)
     if (F.scalar(S).IsLiveOut)
-      H = hashCombine(H, static_cast<uint64_t>(LiveOuts[S]));
-  return H;
+      Out.LiveOutHash = hashCombine(Out.LiveOutHash,
+                                    static_cast<uint64_t>(Out.LiveOuts[S]));
 }
 
 } // namespace
 
-RunOutcome core::runProgramMulti(const LoopFunction &F,
-                                 const codegen::CompiledLoop &CL,
-                                 const mem::Memory &BaseImage,
-                                 const std::vector<Bindings> &Invocations,
-                                 emu::TraceSink *Sink,
-                                 uint64_t MaxInstructionsPerRun) {
-  RunOutcome Out;
+std::string FaultedRun::report() const {
+  std::string S = Outcome.Exec.describe();
+  S += "; injected mem=" + std::to_string(Injection.MemFaultsInjected) +
+       " tx=" + std::to_string(Injection.TxAbortsInjected);
+  return S;
+}
+
+FaultedRun core::runProgramMultiWithFaults(
+    const LoopFunction &F, const codegen::CompiledLoop &CL,
+    const mem::Memory &BaseImage, const std::vector<Bindings> &Invocations,
+    const FaultPlan &Plan, emu::TraceSink *Sink) {
+  FaultedRun Run;
+  RunOutcome &Out = Run.Outcome;
   Out.Ok = true;
   mem::Memory M = BaseImage.clone();
   setUpDispatchCell(CL, M);
   emu::Machine Machine(M);
-  emu::RunLimits Limits;
-  Limits.MaxInstructions = MaxInstructionsPerRun;
+  faults::FaultInjector Injector(Plan.Mem, Plan.Tx);
+  if (Plan.Mem.enabled() || Plan.Tx.enabled())
+    Injector.arm(M, &Machine.tx());
+
+  emu::ExecStats Total;
   for (const Bindings &B : Invocations) {
     Machine.resetRegisters();
     for (size_t S = 0; S < B.ScalarValues.size(); ++S)
@@ -120,24 +86,43 @@ RunOutcome core::runProgramMulti(const LoopFunction &F,
     for (size_t A = 0; A < B.ArrayBases.size(); ++A)
       Machine.setScalar(codegen::arrayBaseReg(static_cast<int>(A)).Index,
                         static_cast<int64_t>(B.ArrayBases[A]));
-    emu::ExecResult R = Machine.run(CL.Prog, Limits, Sink);
-    Out.Exec.Stats.merge(R.Stats);
-    if (R.Reason != emu::StopReason::Halted) {
+    Out.Exec = Machine.run(CL.Prog, Plan.Limits, Sink);
+    Total.merge(Out.Exec.Stats);
+    if (Out.Exec.Reason != emu::StopReason::Halted) {
       Out.Ok = false;
-      Out.Error = "invocation failed: " + R.describe();
+      Out.Error = "invocation failed: " + Out.Exec.describe();
       break;
     }
-    Out.LiveOuts.clear();
-    for (size_t S = 0; S < B.ScalarValues.size(); ++S)
-      Out.LiveOuts.push_back(Machine.getScalar(
-          codegen::scalarParamReg(static_cast<int>(S)).Index));
-    Out.LiveOutHash = foldLiveOuts(F, Out.LiveOutHash, Out.LiveOuts);
+    std::vector<int64_t> Values(B.ScalarValues.size());
+    for (size_t S = 0; S < Values.size(); ++S)
+      Values[S] = Machine.getScalar(
+          codegen::scalarParamReg(static_cast<int>(S)).Index);
+    recordLiveOuts(F, Out, std::move(Values));
   }
+  Out.Exec.Stats = Total;
+
+  // Stats first: the dispatch-cell read-back below goes through the TLB
+  // and is harness traffic, not program traffic.
   Out.Tx = Machine.txStats();
   Out.Mem = M.stats();
+  Injector.disarm();
   Out.HasDispatch = tearDownDispatchCell(CL, M, Out.Dispatch);
   Out.MemFingerprint = M.fingerprint();
-  return Out;
+  Run.Injection = Injector.stats();
+  Run.Tx = Out.Tx;
+  return Run;
+}
+
+RunOutcome core::runProgramMulti(const LoopFunction &F,
+                                 const codegen::CompiledLoop &CL,
+                                 const mem::Memory &BaseImage,
+                                 const std::vector<Bindings> &Invocations,
+                                 emu::TraceSink *Sink,
+                                 uint64_t MaxInstructionsPerRun) {
+  FaultPlan Plan;
+  Plan.Limits.MaxInstructions = MaxInstructionsPerRun;
+  return runProgramMultiWithFaults(F, CL, BaseImage, Invocations, Plan, Sink)
+      .Outcome;
 }
 
 RunOutcome core::runReferenceMulti(const LoopFunction &F,
@@ -156,8 +141,7 @@ RunOutcome core::runReferenceMulti(const LoopFunction &F,
                   std::to_string(R.FaultAddr);
       break;
     }
-    Out.LiveOuts = Work.ScalarValues;
-    Out.LiveOutHash = foldLiveOuts(F, Out.LiveOutHash, Out.LiveOuts);
+    recordLiveOuts(F, Out, std::move(Work.ScalarValues));
   }
   Out.MemFingerprint = M.fingerprint();
   return Out;

@@ -1,10 +1,13 @@
-//===- core/Evaluator.h - Correctness and performance evaluation -*- C++ -*-===//
+//===- core/Evaluator.h - The program runner --------------------*- C++ -*-===//
 //
-// Runs compiled programs on the functional emulator against cloned memory
-// images, cross-checks them against the IR reference interpreter, and (via
-// a caller-provided trace sink) feeds the timing model. Also implements
-// the paper's coverage scaling: hot-region speedups are scaled down by the
-// region's contribution to total program execution (Section 5).
+// The one way to execute a compiled loop: runProgramMultiWithFaults runs a
+// program variant on the functional emulator against a cloned memory image,
+// optionally under a seeded fault plan and with a trace sink attached (an
+// sim::OooCore sink turns the run into a timing measurement). Its outcome
+// is compared with the IR reference interpreter's (runReferenceMulti) by
+// outcomesMatch. Also implements the paper's coverage scaling: hot-region
+// speedups are scaled down by the region's contribution to total program
+// execution (Section 5).
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,6 +17,7 @@
 #include "codegen/Compiled.h"
 #include "driver/AdaptiveStrategy.h"
 #include "emu/Machine.h"
+#include "faults/FaultInjector.h"
 #include "ir/Interp.h"
 
 #include <string>
@@ -24,8 +28,11 @@ namespace core {
 
 /// Result of one program (or reference) execution.
 struct RunOutcome {
-  bool Ok = false; ///< Ran to completion (Halt / interpreter return).
-  emu::ExecResult Exec;           ///< Machine runs only.
+  bool Ok = false; ///< Every invocation ran to completion.
+  /// Machine runs only: the last invocation's result (the failing one,
+  /// with its stop reason, fault address, PC, opcode and abort history),
+  /// with Stats merged over every invocation.
+  emu::ExecResult Exec;
   rtm::TxStats Tx;                ///< Transaction-unit stats (machine runs).
   mem::MemoryStats Mem;           ///< Image TLB/COW stats (machine runs).
   uint64_t MemFingerprint = 0;    ///< Final memory image digest.
@@ -39,31 +46,46 @@ struct RunOutcome {
   std::string Error;
 };
 
-/// Maps the adaptive dispatch-cell page on \p M when \p CL is a
-/// flexvec-adaptive program (no-op otherwise). Must run before the first
-/// invocation; the cell starts zeroed (promoted state).
-void setUpDispatchCell(const codegen::CompiledLoop &CL, mem::Memory &M);
+/// Everything injected into one execution, plus the run limits.
+struct FaultPlan {
+  faults::MemFaultPlan Mem;
+  faults::TxFaultPlan Tx;
+  /// Budget, RTM retry policy and SIMD backend: the same struct a plain
+  /// run takes, so FLEXVEC_RTM_RETRIES and FLEXVEC_SIMD reach fault runs
+  /// too (SimdEquivalenceTest pins Limits.Simd per backend).
+  emu::RunLimits Limits;
+};
 
-/// Reads the dispatch counters back into \p Out and unmaps the cell page
-/// (so fingerprints stay comparable with the scalar reference). Returns
-/// true when \p CL is flexvec-adaptive. Must run before fingerprint().
-bool tearDownDispatchCell(const codegen::CompiledLoop &CL, mem::Memory &M,
-                          driver::DispatchCounts &Out);
+/// One execution under injection: the usual outcome plus what was
+/// actually injected and how the transaction unit fared.
+struct FaultedRun {
+  RunOutcome Outcome;
+  faults::InjectorStats Injection;
+  rtm::TxStats Tx;
 
-/// Runs \p CL on a clone of \p BaseImage with \p B's inputs. \p Sink
-/// optionally receives the dynamic instruction trace.
-RunOutcome runProgram(const codegen::CompiledLoop &CL,
-                      const mem::Memory &BaseImage, const ir::Bindings &B,
-                      emu::TraceSink *Sink = nullptr,
-                      uint64_t MaxInstructions = 1ULL << 32);
-
-/// Runs the IR reference interpreter on a clone of \p BaseImage.
-RunOutcome runReference(const ir::LoopFunction &F,
-                        const mem::Memory &BaseImage, const ir::Bindings &B);
+  /// Structured one-line fault report (stop reason, fault address, PC,
+  /// opcode, abort history).
+  std::string report() const;
+};
 
 /// Runs \p CL once per element of \p Invocations against one persistent
-/// memory clone (mutations carry across invocations, like repeated calls
-/// into a hot loop). LiveOutHash folds every invocation's live-outs.
+/// clone of \p BaseImage (mutations carry across invocations, like repeated
+/// calls into a hot loop); registers are reset and rebound per invocation
+/// and the run stops at the first invocation that does not halt.
+/// LiveOutHash folds every invocation's live-outs. A FaultInjector is armed
+/// across every invocation only when \p Plan injects something (so a
+/// bounded TxFaultPlan models a storm that eventually ends). The adaptive
+/// dispatch cell is mapped before the first invocation and read back and
+/// unmapped before the fingerprint; Outcome.Mem is read before that
+/// read-back, so it counts program accesses only. \p Sink optionally
+/// receives the dynamic instruction trace.
+FaultedRun runProgramMultiWithFaults(
+    const ir::LoopFunction &F, const codegen::CompiledLoop &CL,
+    const mem::Memory &BaseImage, const std::vector<ir::Bindings> &Invocations,
+    const FaultPlan &Plan, emu::TraceSink *Sink = nullptr);
+
+/// runProgramMultiWithFaults with nothing injected and default limits
+/// apart from the per-invocation instruction budget.
 RunOutcome runProgramMulti(const ir::LoopFunction &F,
                            const codegen::CompiledLoop &CL,
                            const mem::Memory &BaseImage,
@@ -71,7 +93,8 @@ RunOutcome runProgramMulti(const ir::LoopFunction &F,
                            emu::TraceSink *Sink = nullptr,
                            uint64_t MaxInstructionsPerRun = 1ULL << 32);
 
-/// Reference-interpreter counterpart of runProgramMulti.
+/// Runs the IR reference interpreter over \p Invocations on one clone of
+/// \p BaseImage; the counterpart of runProgramMulti.
 RunOutcome runReferenceMulti(const ir::LoopFunction &F,
                              const mem::Memory &BaseImage,
                              const std::vector<ir::Bindings> &Invocations);

@@ -22,41 +22,11 @@
 #define FLEXVEC_CORE_FAULTHARNESS_H
 
 #include "core/Evaluator.h"
-#include "faults/FaultInjector.h"
 
 #include <string>
 
 namespace flexvec {
 namespace core {
-
-/// Everything injected into one execution, plus the resilience policy.
-struct FaultPlan {
-  faults::MemFaultPlan Mem;
-  faults::TxFaultPlan Tx;
-  uint64_t MaxInstructions = 1ULL << 32;
-  unsigned MaxRtmRetries = 4;
-  /// SIMD lane-kernel backend (SimdEquivalenceTest pins each backend to
-  /// prove fault storms are backend-invariant).
-  emu::SimdBackend Simd = emu::SimdBackend::Auto;
-};
-
-/// One execution under injection: the usual outcome plus what was
-/// actually injected and how the transaction unit fared.
-struct FaultedRun {
-  RunOutcome Outcome;
-  faults::InjectorStats Injection;
-  rtm::TxStats Tx;
-
-  /// Structured one-line fault report (stop reason, fault address, PC,
-  /// opcode, abort history).
-  std::string report() const;
-};
-
-/// Runs \p CL on a clone of \p BaseImage with a fresh FaultInjector armed
-/// over the clone's memory and the machine's transaction unit.
-FaultedRun runProgramWithFaults(const codegen::CompiledLoop &CL,
-                                const mem::Memory &BaseImage,
-                                const ir::Bindings &B, const FaultPlan &Plan);
 
 /// Verdict of a scalar-vs-vectorized differential run.
 struct DiffVerdict {
@@ -74,27 +44,6 @@ struct DiffVerdict {
 /// with the same stop reason and fault address.
 DiffVerdict judgeDifferential(const ir::LoopFunction &F, FaultedRun Scalar,
                               FaultedRun Vector);
-
-/// Runs \p ScalarCL and \p VectorCL under identical fault schedules
-/// (separate injector instances, same plan and seeds) and compares the
-/// architectural outcomes.
-DiffVerdict runDifferential(const ir::LoopFunction &F,
-                            const codegen::CompiledLoop &ScalarCL,
-                            const codegen::CompiledLoop &VectorCL,
-                            const mem::Memory &BaseImage,
-                            const ir::Bindings &B, const FaultPlan &Plan);
-
-/// Multi-invocation counterpart of runProgramWithFaults: one persistent
-/// memory clone, one injector armed across every invocation (so a bounded
-/// TxFaultPlan models a storm that eventually ends), per-invocation
-/// register reset. This is what drives the adaptive dispatch cell through
-/// its whole lifecycle — the cell is mapped before the first invocation
-/// and read back/unmapped before the fingerprint.
-FaultedRun runProgramMultiWithFaults(const ir::LoopFunction &F,
-                                     const codegen::CompiledLoop &CL,
-                                     const mem::Memory &BaseImage,
-                                     const std::vector<ir::Bindings> &Invocations,
-                                     const FaultPlan &Plan);
 
 /// Multi-invocation differential: \p ScalarCL and \p VectorCL each run the
 /// whole invocation sequence under identical fault schedules, judged by

@@ -3,7 +3,6 @@
 #include "core/ParallelEvaluator.h"
 
 #include "core/Evaluator.h"
-#include "core/FaultHarness.h"
 #include "driver/Remarks.h"
 #include "sim/OooCore.h"
 #include "support/Hash.h"
@@ -146,23 +145,22 @@ CellResult evalCell(const SweepWorkload &W, VariantId V,
   emu::TraceSink *Sink =
       Opts.Sim == SimMode::Sampled ? static_cast<emu::TraceSink *>(&Sampler)
                                    : &Core;
+  // Chaos mode: a seeded RTM conflict storm rides through the run with no
+  // trace sink (the timing model stays cold; the cell carries correctness
+  // and emu/rtm/dispatch counters only).
+  FaultPlan Plan;
+  if (Opts.FaultSeed) {
+    Plan.Tx.Seed = deriveStreamSeed(Opts.FaultSeed, fnv1a64(W.Name));
+    Plan.Tx.AbortProb = 0.5;
+    Plan.Tx.Reason = rtm::AbortReason::Conflict;
+    Sink = nullptr;
+  }
   RunOutcome Out;
   {
     obs::ScopedTimer T(Cell.Times.SimulateMs);
-    if (Opts.FaultSeed) {
-      // Chaos mode: a seeded RTM conflict storm rides through the fault
-      // harness (no trace sink — the timing model stays cold; the cell
-      // carries correctness and emu/rtm/dispatch counters only).
-      FaultPlan Plan;
-      Plan.Tx.Seed = deriveStreamSeed(Opts.FaultSeed, fnv1a64(W.Name));
-      Plan.Tx.AbortProb = 0.5;
-      Plan.Tx.Reason = rtm::AbortReason::Conflict;
-      Out = runProgramMultiWithFaults(*W.F, *CL, In.Image, In.Invocations,
-                                      Plan)
-                .Outcome;
-    } else {
-      Out = runProgramMulti(*W.F, *CL, In.Image, In.Invocations, Sink);
-    }
+    Out = runProgramMultiWithFaults(*W.F, *CL, In.Image, In.Invocations, Plan,
+                                    Sink)
+              .Outcome;
   }
 
   Cell.Correct = outcomesMatch(*W.F, Ref, Out);

@@ -97,8 +97,8 @@ void roundTrip(const ir::LoopFunction &F, const codegen::CompiledLoop &CL,
 
   codegen::CompiledLoop Reassembled = CL;
   Reassembled.Prog = R.Prog;
-  core::RunOutcome A = core::runProgram(CL, Image, B);
-  core::RunOutcome C = core::runProgram(Reassembled, Image, B);
+  core::RunOutcome A = core::runProgramMulti(F, CL, Image, {B});
+  core::RunOutcome C = core::runProgramMulti(F, Reassembled, Image, {B});
   ASSERT_TRUE(A.Ok && C.Ok);
   EXPECT_TRUE(core::outcomesMatch(F, A, C));
 }

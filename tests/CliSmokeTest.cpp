@@ -347,4 +347,20 @@ TEST(EnvKnobs, EmptyValueMeansUnset) {
   EXPECT_NE(R.Output.find("VL=16;"), std::string::npos) << R.Output;
 }
 
+// FLEXVEC_RTM_RETRIES is process-wide: fault runs take their retry budget
+// from it like plain runs do, and --rtm-retries still overrides it.
+TEST(EnvKnobs, RtmRetriesReachFaultRuns) {
+  const std::string Histogram =
+      std::string(FLEXVEC_SOURCE_DIR) + "/examples/loops/histogram.fv";
+  const std::string Diff =
+      Cli + " " + Histogram + " --fault-diff --tx-abort-prob=0.5";
+  CmdResult R = run("FLEXVEC_RTM_RETRIES=0 " + Diff);
+  EXPECT_EQ(R.Exit, 0) << R.Output;
+  EXPECT_NE(R.Output.find("rtm-retries=0,"), std::string::npos) << R.Output;
+
+  R = run("FLEXVEC_RTM_RETRIES=0 " + Diff + " --rtm-retries=2");
+  EXPECT_EQ(R.Exit, 0) << R.Output;
+  EXPECT_NE(R.Output.find("rtm-retries=2,"), std::string::npos) << R.Output;
+}
+
 } // namespace

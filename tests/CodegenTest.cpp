@@ -68,9 +68,9 @@ TEST(Codegen, TraditionalVectorizesGuardedSum) {
     B.setInt(0, N);
     B.setInt(1, 7);  // s initial
     B.setInt(2, 10); // threshold
-    core::RunOutcome Ref = core::runReference(*F, M, B);
-    core::RunOutcome Trad = core::runProgram(*PR.Traditional, M, B);
-    core::RunOutcome Scal = core::runProgram(PR.Scalar, M, B);
+    core::RunOutcome Ref = core::runReferenceMulti(*F, M, {B});
+    core::RunOutcome Trad = core::runProgramMulti(*F, *PR.Traditional, M, {B});
+    core::RunOutcome Scal = core::runProgramMulti(*F, PR.Scalar, M, {B});
     ASSERT_TRUE(core::outcomesMatch(*F, Ref, Trad)) << "case " << Case;
     ASSERT_TRUE(core::outcomesMatch(*F, Ref, Scal)) << "case " << Case;
   }
@@ -111,10 +111,10 @@ TEST(Codegen, WideLanes64BitConflictLoop) {
     B.ArrayBases[0] = Alloc.allocArray(IdxData);
     B.ArrayBases[1] = Alloc.allocArray(DData);
     B.setInt(0, Trip);
-    core::RunOutcome Ref = core::runReference(F, M, B);
-    core::RunOutcome Flex = core::runProgram(*PR.FlexVec, M, B);
+    core::RunOutcome Ref = core::runReferenceMulti(F, M, {B});
+    core::RunOutcome Flex = core::runProgramMulti(F, *PR.FlexVec, M, {B});
     ASSERT_TRUE(core::outcomesMatch(F, Ref, Flex)) << "case " << Case;
-    core::RunOutcome Rtm = core::runProgram(*PR.Rtm, M, B);
+    core::RunOutcome Rtm = core::runProgramMulti(F, *PR.Rtm, M, {B});
     ASSERT_TRUE(core::outcomesMatch(F, Ref, Rtm)) << "case " << Case;
   }
 }
@@ -149,8 +149,8 @@ TEST(Codegen, WideLanes64BitArgmin) {
     B.setInt(0, Trip);
     B.setInt(1, 1 << 30);
     B.setInt(2, -1);
-    core::RunOutcome Ref = core::runReference(F, M, B);
-    core::RunOutcome Flex = core::runProgram(*PR.FlexVec, M, B);
+    core::RunOutcome Ref = core::runReferenceMulti(F, M, {B});
+    core::RunOutcome Flex = core::runProgramMulti(F, *PR.FlexVec, M, {B});
     ASSERT_TRUE(core::outcomesMatch(F, Ref, Flex)) << "case " << Case;
   }
 }
@@ -172,10 +172,10 @@ TEST(Codegen, EmptyTripCountRunsZeroIterations) {
   Rng R(3);
   workloads::LoopInputs In = workloads::genH264Inputs(*F, R, 16, 0.1);
   In.B.setInt(0, 0); // max_pos = 0.
-  core::RunOutcome Ref = core::runReference(*F, In.Image, In.B);
+  core::RunOutcome Ref = core::runReferenceMulti(*F, In.Image, {In.B});
   for (const codegen::CompiledLoop *CL :
        {&PR.Scalar, &*PR.FlexVec, &*PR.Rtm}) {
-    core::RunOutcome Out = core::runProgram(*CL, In.Image, In.B);
+    core::RunOutcome Out = core::runProgramMulti(*F, *CL, In.Image, {In.B});
     EXPECT_TRUE(core::outcomesMatch(*F, Ref, Out));
   }
 }
@@ -188,8 +188,9 @@ TEST(Codegen, TripCountBelowOneVector) {
     Rng R(static_cast<uint64_t>(Trip));
     workloads::LoopInputs In =
         workloads::genConflictInputs(*F, R, Trip, 0.5, 64);
-    core::RunOutcome Ref = core::runReference(*F, In.Image, In.B);
-    core::RunOutcome Flex = core::runProgram(*PR.FlexVec, In.Image, In.B);
+    core::RunOutcome Ref = core::runReferenceMulti(*F, In.Image, {In.B});
+    core::RunOutcome Flex =
+        core::runProgramMulti(*F, *PR.FlexVec, In.Image, {In.B});
     EXPECT_TRUE(core::outcomesMatch(*F, Ref, Flex)) << "trip " << Trip;
   }
 }

@@ -92,9 +92,8 @@ TEST(FaultDifferential, CleanRunsAreEquivalent) {
   for (LoopCase &C : buildPaperLoops(11)) {
     core::FaultPlan Plan; // Nothing injected.
     for (auto &[VarName, CL] : vectorVariants(C)) {
-      core::DiffVerdict V =
-          core::runDifferential(*C.F, C.PR.Scalar, *CL, C.In.Image, C.In.B,
-                                Plan);
+      core::DiffVerdict V = core::runDifferentialMulti(
+          *C.F, C.PR.Scalar, *CL, C.In.Image, {C.In.B}, Plan);
       EXPECT_TRUE(V.Equivalent)
           << C.Name << "/" << VarName << ": " << V.describe();
       EXPECT_TRUE(V.Scalar.Outcome.Ok);
@@ -119,8 +118,8 @@ TEST(FaultDifferential, PersistentRangeFaultsInEachArray) {
         Plan.Mem.Ranges.push_back({Base, Base + mem::PageSize, /*Prob=*/0.06,
                                    faults::FaultDuration::Persistent});
         for (auto &[VarName, CL] : vectorVariants(C)) {
-          core::DiffVerdict V = core::runDifferential(
-              *C.F, C.PR.Scalar, *CL, C.In.Image, C.In.B, Plan);
+          core::DiffVerdict V = core::runDifferentialMulti(
+              *C.F, C.PR.Scalar, *CL, C.In.Image, {C.In.B}, Plan);
           EXPECT_TRUE(V.Equivalent)
               << C.Name << "/" << VarName << " array " << Arr << " seed "
               << Seed << ": " << V.describe();
@@ -153,8 +152,8 @@ TEST(FaultDifferential, InjectedTxAbortsAreAbsorbedByRetryAndFallback) {
         Plan.Tx.Seed = Seed;
         Plan.Tx.AbortProb = 0.3;
         Plan.Tx.Reason = Reason;
-        core::DiffVerdict V = core::runDifferential(
-            *C.F, C.PR.Scalar, *C.PR.Rtm, C.In.Image, C.In.B, Plan);
+        core::DiffVerdict V = core::runDifferentialMulti(
+            *C.F, C.PR.Scalar, *C.PR.Rtm, C.In.Image, {C.In.B}, Plan);
         EXPECT_TRUE(V.Equivalent)
             << C.Name << "/rtm reason=" << rtm::abortReasonName(Reason)
             << " seed " << Seed << ": " << V.describe();
@@ -600,9 +599,9 @@ TEST(FaultHarness, BudgetWatchdogProducesStructuredDiagnostics) {
   std::vector<LoopCase> Cases = buildPaperLoops(21);
   LoopCase &C = Cases[0];
   core::FaultPlan Plan;
-  Plan.MaxInstructions = 50; // Far below what the loop needs.
-  core::FaultedRun Run =
-      core::runProgramWithFaults(C.PR.Scalar, C.In.Image, C.In.B, Plan);
+  Plan.Limits.MaxInstructions = 50; // Far below what the loop needs.
+  core::FaultedRun Run = core::runProgramMultiWithFaults(
+      *C.F, C.PR.Scalar, C.In.Image, {C.In.B}, Plan);
   EXPECT_FALSE(Run.Outcome.Ok);
   EXPECT_EQ(Run.Outcome.Exec.Reason, emu::StopReason::BudgetExceeded);
   EXPECT_EQ(Run.Outcome.Exec.Stats.Instructions, 50u);
@@ -616,11 +615,78 @@ TEST(FaultHarness, FailNthAccessYieldsStructuredFaultReport) {
   LoopCase &C = Cases[0];
   core::FaultPlan Plan;
   Plan.Mem.FailNthAccess = 7;
-  core::FaultedRun Run =
-      core::runProgramWithFaults(C.PR.Scalar, C.In.Image, C.In.B, Plan);
+  core::FaultedRun Run = core::runProgramMultiWithFaults(
+      *C.F, C.PR.Scalar, C.In.Image, {C.In.B}, Plan);
   EXPECT_FALSE(Run.Outcome.Ok);
   EXPECT_EQ(Run.Outcome.Exec.Reason, emu::StopReason::Fault);
   EXPECT_EQ(Run.Injection.MemFaultsInjected, 1u);
   EXPECT_NE(Run.Outcome.Exec.FaultAddr, 0u);
   EXPECT_NE(Run.report().find("fault"), std::string::npos) << Run.report();
+}
+
+namespace {
+
+/// The oracle for the runner's stop report: \p CL's first invocation run
+/// straight on a Machine over a clone of the case's image, under \p Plan.
+emu::ExecResult runDirect(const LoopCase &C, const codegen::CompiledLoop &CL,
+                          const core::FaultPlan &Plan) {
+  mem::Memory M = C.In.Image.clone();
+  emu::Machine Mach(M);
+  faults::FaultInjector Inj(Plan.Mem, Plan.Tx);
+  Inj.arm(M, &Mach.tx());
+  const ir::Bindings &B = C.In.B;
+  for (size_t S = 0; S < B.ScalarValues.size(); ++S)
+    Mach.setScalar(codegen::scalarParamReg(static_cast<int>(S)).Index,
+                   B.ScalarValues[S]);
+  for (size_t A = 0; A < B.ArrayBases.size(); ++A)
+    Mach.setScalar(codegen::arrayBaseReg(static_cast<int>(A)).Index,
+                   static_cast<int64_t>(B.ArrayBases[A]));
+  emu::ExecResult R = Mach.run(CL.Prog, Plan.Limits);
+  Inj.disarm();
+  return R;
+}
+
+void expectSameStop(const emu::ExecResult &Got, const emu::ExecResult &Want,
+                    const char *Where) {
+  EXPECT_EQ(Got.Reason, Want.Reason) << Where;
+  EXPECT_EQ(Got.FaultAddr, Want.FaultAddr) << Where;
+  EXPECT_EQ(Got.FaultPC, Want.FaultPC) << Where;
+  EXPECT_EQ(Got.FaultOp, Want.FaultOp) << Where;
+  EXPECT_EQ(Got.AbortHistory, Want.AbortHistory) << Where;
+}
+
+} // namespace
+
+// A failed invocation keeps its whole stop report: the outcome's Exec is
+// the failing invocation's ExecResult (stats aside), which is what a
+// direct Machine::run of that invocation returns. The run stops there.
+TEST(FaultHarness, FailedInvocationKeepsItsStopReport) {
+  std::vector<LoopCase> Cases = buildPaperLoops(23);
+  LoopCase &C = Cases[0];
+  ASSERT_TRUE(C.PR.Rtm.has_value());
+  std::vector<ir::Bindings> Twice = repeated(C.In.B, 2);
+
+  core::FaultPlan Budget;
+  Budget.Limits.MaxInstructions = 50;
+  core::RunOutcome Out =
+      core::runProgramMulti(*C.F, C.PR.Scalar, C.In.Image, Twice,
+                            /*Sink=*/nullptr, /*MaxInstructionsPerRun=*/50);
+  EXPECT_FALSE(Out.Ok);
+  EXPECT_EQ(Out.Exec.Reason, emu::StopReason::BudgetExceeded);
+  EXPECT_EQ(Out.Exec.Stats.Instructions, 50u) << "stopped at invocation 1";
+  expectSameStop(Out.Exec, runDirect(C, C.PR.Scalar, Budget), "budget");
+
+  // A persistent fault over the first array: inside a transaction it
+  // aborts the tile, and the scalar fallback then faults architecturally.
+  core::FaultPlan Range;
+  uint64_t Base = C.In.B.ArrayBases[0];
+  Range.Mem.Ranges.push_back({Base, Base + mem::PageSize, /*Prob=*/1.0,
+                              faults::FaultDuration::Persistent});
+  core::FaultedRun Run = core::runProgramMultiWithFaults(
+      *C.F, *C.PR.Rtm, C.In.Image, Twice, Range);
+  EXPECT_FALSE(Run.Outcome.Ok);
+  EXPECT_EQ(Run.Outcome.Exec.Reason, emu::StopReason::Fault);
+  EXPECT_NE(Run.Outcome.Exec.FaultOp, Opcode::Nop);
+  EXPECT_EQ(Run.report().find("(nop)"), std::string::npos) << Run.report();
+  expectSameStop(Run.Outcome.Exec, runDirect(C, *C.PR.Rtm, Range), "range");
 }

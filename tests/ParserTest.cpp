@@ -62,12 +62,14 @@ TEST(Parser, ParsedLoopMatchesBuilderLoopBehaviour) {
   Rng Rand(5);
   workloads::LoopInputs In = workloads::genH264Inputs(*Builder, Rand, 3000,
                                                       0.05);
-  core::RunOutcome RefBuilder = core::runReference(*Builder, In.Image, In.B);
-  core::RunOutcome RefParsed = core::runReference(*R.F, In.Image, In.B);
+  core::RunOutcome RefBuilder =
+      core::runReferenceMulti(*Builder, In.Image, {In.B});
+  core::RunOutcome RefParsed = core::runReferenceMulti(*R.F, In.Image, {In.B});
   EXPECT_EQ(RefBuilder.MemFingerprint, RefParsed.MemFingerprint);
   EXPECT_EQ(RefBuilder.LiveOuts, RefParsed.LiveOuts);
 
-  core::RunOutcome Flex = core::runProgram(*PP.FlexVec, In.Image, In.B);
+  core::RunOutcome Flex =
+      core::runProgramMulti(*R.F, *PP.FlexVec, In.Image, {In.B});
   EXPECT_TRUE(core::outcomesMatch(*R.F, RefParsed, Flex));
 }
 

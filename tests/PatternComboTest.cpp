@@ -112,10 +112,10 @@ loop force_like(i64 n trip, i32 maxw liveout, i32 argmax liveout,
 void expectAllMatch(const Built &L, unsigned RtmTile = 64) {
   core::PipelineResult PR = core::compileLoop(*L.F, RtmTile);
   ASSERT_TRUE(PR.Plan.Vectorizable) << PR.Plan.Reason;
-  core::RunOutcome Ref = core::runReference(*L.F, L.Image, L.B);
+  core::RunOutcome Ref = core::runReferenceMulti(*L.F, L.Image, {L.B});
   for (const auto *CL : {&PR.Scalar, &*PR.FlexVec, &*PR.FlexVecOpt,
                          &*PR.Rtm}) {
-    core::RunOutcome Out = core::runProgram(*CL, L.Image, L.B);
+    core::RunOutcome Out = core::runProgramMulti(*L.F, *CL, L.Image, {L.B});
     ASSERT_TRUE(Out.Ok) << Out.Error;
     EXPECT_TRUE(core::outcomesMatch(*L.F, Ref, Out))
         << codegen::codeGenKindName(CL->Kind);

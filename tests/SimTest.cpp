@@ -9,7 +9,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Measure.h"
 #include "emu/Machine.h"
 #include "sim/OooCore.h"
 #include "support/Random.h"

@@ -7,7 +7,7 @@
 // fingerprints and live-outs, same fault storms — so FLEXVEC_SIMD is
 // purely a speed knob. This suite holds that contract across the whole
 // Figure-8 corpus, both fuzz envelopes (pinned seeds), a seeded RTM abort
-// storm with the backend pinned through FaultPlan, and a direct
+// storm with the backend pinned through FaultPlan::Limits, and a direct
 // kernel-table differential over adversarial lane patterns.
 //
 // Backends that this build or host cannot execute resolve downward
@@ -19,7 +19,6 @@
 
 #include "codegen/Compiled.h"
 #include "core/Evaluator.h"
-#include "core/FaultHarness.h"
 #include "core/Pipeline.h"
 #include "emu/simd/Kernels.h"
 #include "gen/Gen.h"
@@ -36,11 +35,6 @@
 using namespace flexvec;
 
 namespace {
-
-uint64_t hashCombine(uint64_t H, uint64_t V) {
-  H ^= V + 0x9e3779b97f4a7c15ULL + (H << 6) + (H >> 2);
-  return H;
-}
 
 struct RecordDigest {
   uint64_t H = 0;
@@ -85,51 +79,13 @@ std::vector<emu::SimdBackend> comparedBackends() {
   return B;
 }
 
-/// runProgramMulti with the SIMD backend pinned (the core API resolves
+/// An empty plan with the SIMD backend pinned (the runner resolves
 /// SimdBackend::Auto from FLEXVEC_SIMD, which is exactly what an
 /// equivalence test must not depend on).
-core::RunOutcome runWithSimd(const ir::LoopFunction &F,
-                             const codegen::CompiledLoop &CL,
-                             const mem::Memory &BaseImage,
-                             const std::vector<ir::Bindings> &Invocations,
-                             emu::SimdBackend Backend,
-                             emu::TraceSink *Sink = nullptr) {
-  core::RunOutcome Out;
-  Out.Ok = true;
-  mem::Memory M = BaseImage.clone();
-  core::setUpDispatchCell(CL, M);
-  emu::Machine Machine(M);
-  emu::RunLimits Limits;
-  Limits.Simd = Backend;
-  for (const ir::Bindings &B : Invocations) {
-    Machine.resetRegisters();
-    for (size_t S = 0; S < B.ScalarValues.size(); ++S)
-      Machine.setScalar(codegen::scalarParamReg(static_cast<int>(S)).Index,
-                        B.ScalarValues[S]);
-    for (size_t A = 0; A < B.ArrayBases.size(); ++A)
-      Machine.setScalar(codegen::arrayBaseReg(static_cast<int>(A)).Index,
-                        static_cast<int64_t>(B.ArrayBases[A]));
-    emu::ExecResult R = Machine.run(CL.Prog, Limits, Sink);
-    Out.Exec.Stats.merge(R.Stats);
-    if (R.Reason != emu::StopReason::Halted) {
-      Out.Ok = false;
-      Out.Error = "invocation failed: " + R.describe();
-      break;
-    }
-    Out.LiveOuts.clear();
-    for (size_t S = 0; S < B.ScalarValues.size(); ++S)
-      Out.LiveOuts.push_back(Machine.getScalar(
-          codegen::scalarParamReg(static_cast<int>(S)).Index));
-    uint64_t H = Out.LiveOutHash;
-    for (size_t S = 0; S < F.scalars().size(); ++S)
-      if (F.scalar(S).IsLiveOut)
-        H = hashCombine(H, static_cast<uint64_t>(Out.LiveOuts[S]));
-    Out.LiveOutHash = H;
-  }
-  Out.Tx = Machine.txStats();
-  Out.HasDispatch = core::tearDownDispatchCell(CL, M, Out.Dispatch);
-  Out.MemFingerprint = M.fingerprint();
-  return Out;
+core::FaultPlan pinned(emu::SimdBackend Backend) {
+  core::FaultPlan Plan;
+  Plan.Limits.Simd = Backend;
+  return Plan;
 }
 
 /// Every field of ExecStats. The fast-path counters are backend-invariant
@@ -180,13 +136,17 @@ TEST(SimdEquivalence, Figure8CellsIdenticalAcrossBackends) {
           core::selectVariant(PR, static_cast<core::VariantId>(V));
       if (!CL)
         continue;
-      core::RunOutcome Ref = runWithSimd(*W.F, *CL, In.Image, In.Invocations,
-                                         emu::SimdBackend::Scalar);
+      core::RunOutcome Ref =
+          core::runProgramMultiWithFaults(*W.F, *CL, In.Image, In.Invocations,
+                                          pinned(emu::SimdBackend::Scalar))
+              .Outcome;
       ASSERT_TRUE(Ref.Ok) << W.Name << ": " << Ref.Error;
       for (emu::SimdBackend Backend : comparedBackends()) {
         std::string Where = cellName(W.Name, V, Backend);
         core::RunOutcome Out =
-            runWithSimd(*W.F, *CL, In.Image, In.Invocations, Backend);
+            core::runProgramMultiWithFaults(*W.F, *CL, In.Image,
+                                            In.Invocations, pinned(Backend))
+                .Outcome;
         ASSERT_TRUE(Out.Ok) << Where << ": " << Out.Error;
         expectStatsEqual(Ref.Exec.Stats, Out.Exec.Stats, Where);
         EXPECT_EQ(Ref.MemFingerprint, Out.MemFingerprint) << Where;
@@ -219,14 +179,20 @@ TEST(SimdEquivalence, TraceStreamsIdenticalAcrossBackends) {
       if (!CL)
         continue;
       DigestSink RefSink;
-      core::RunOutcome Ref = runWithSimd(*W.F, *CL, In.Image, In.Invocations,
-                                         emu::SimdBackend::Scalar, &RefSink);
+      core::RunOutcome Ref =
+          core::runProgramMultiWithFaults(*W.F, *CL, In.Image, In.Invocations,
+                                          pinned(emu::SimdBackend::Scalar),
+                                          &RefSink)
+              .Outcome;
       ASSERT_TRUE(Ref.Ok) << W.Name;
       for (emu::SimdBackend Backend : comparedBackends()) {
         std::string Where = cellName(W.Name, V, Backend);
         DigestSink Sink;
-        core::RunOutcome Out = runWithSimd(*W.F, *CL, In.Image,
-                                           In.Invocations, Backend, &Sink);
+        core::RunOutcome Out =
+            core::runProgramMultiWithFaults(*W.F, *CL, In.Image,
+                                            In.Invocations, pinned(Backend),
+                                            &Sink)
+                .Outcome;
         ASSERT_TRUE(Out.Ok) << Where;
         EXPECT_EQ(RefSink.D.Count, Sink.D.Count) << Where;
         EXPECT_EQ(RefSink.D.H, Sink.D.H)
@@ -257,15 +223,19 @@ void runFuzzEquivalence(const gen::Envelope &E, uint64_t Seed) {
         core::selectVariant(PR, static_cast<core::VariantId>(V));
     if (!CL)
       continue;
-    core::RunOutcome Ref = runWithSimd(*G.F, *CL, Image, Invocations,
-                                       emu::SimdBackend::Scalar);
+    core::RunOutcome Ref =
+        core::runProgramMultiWithFaults(*G.F, *CL, Image, Invocations,
+                                        pinned(emu::SimdBackend::Scalar))
+            .Outcome;
     ASSERT_TRUE(Ref.Ok) << "seed " << Seed << ": " << Ref.Error;
     for (emu::SimdBackend Backend : comparedBackends()) {
       std::string Where = "seed " + std::to_string(Seed) + " variant " +
                           core::variantName(static_cast<core::VariantId>(V)) +
                           " vs " + emu::simdBackendName(Backend);
-      core::RunOutcome Out = runWithSimd(*G.F, *CL, Image, Invocations,
-                                         Backend);
+      core::RunOutcome Out =
+          core::runProgramMultiWithFaults(*G.F, *CL, Image, Invocations,
+                                          pinned(Backend))
+              .Outcome;
       ASSERT_TRUE(Out.Ok) << Where << ": " << Out.Error;
       expectStatsEqual(Ref.Exec.Stats, Out.Exec.Stats, Where);
       EXPECT_EQ(Ref.MemFingerprint, Out.MemFingerprint) << Where;
@@ -304,16 +274,14 @@ TEST(SimdEquivalence, FaultStormIdenticalAcrossBackends) {
           core::selectVariant(PR, static_cast<core::VariantId>(V));
       if (!CL)
         continue;
-      core::FaultPlan Plan;
+      core::FaultPlan Plan = pinned(emu::SimdBackend::Scalar);
       Plan.Tx.Seed = deriveStreamSeed(fnv1a64(W.Name), V);
       Plan.Tx.AbortProb = 0.5;
-
-      Plan.Simd = emu::SimdBackend::Scalar;
       core::FaultedRun Ref = core::runProgramMultiWithFaults(
           *W.F, *CL, In.Image, In.Invocations, Plan);
       for (emu::SimdBackend Backend : comparedBackends()) {
         std::string Where = cellName(W.Name, V, Backend);
-        Plan.Simd = Backend;
+        Plan.Limits.Simd = Backend;
         core::FaultedRun Out = core::runProgramMultiWithFaults(
             *W.F, *CL, In.Image, In.Invocations, Plan);
 

@@ -41,7 +41,8 @@
 //     --tx-abort-nth=N    abort the Nth transactional operation
 //     --tx-abort-prob=P   abort each transactional op with probability P
 //     --tx-abort-reason=conflict|capacity|spurious  (default conflict)
-//     --rtm-retries=N     bounded RTM retry budget (default 4)
+//     --rtm-retries=N     bounded RTM retry budget (default 4, or
+//                         FLEXVEC_RTM_RETRIES when set)
 //     --budget=N          instruction-budget watchdog (default 2^32)
 //
 // Example:
@@ -52,8 +53,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/FaultHarness.h"
-#include "core/Measure.h"
 #include "core/Pipeline.h"
+#include "sim/OooCore.h"
 #include "ir/Parser.h"
 #include "support/ArgParse.h"
 #include "support/Random.h"
@@ -188,16 +189,16 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     } else if (Arg.rfind("--rtm-retries=", 0) == 0) {
       if (!parseUInt(Arg.substr(14), U))
         return badValue(Arg, "a non-negative integer");
-      Opts.Faults.MaxRtmRetries = static_cast<unsigned>(U);
+      Opts.Faults.Limits.MaxRtmRetries = static_cast<unsigned>(U);
     } else if (Arg.rfind("--rtm-retry-budget=", 0) == 0) {
       // Alias of --rtm-retries, matching the FLEXVEC_RTM_RETRIES env knob.
       if (!parseUInt(Arg.substr(19), U))
         return badValue(Arg, "a non-negative integer");
-      Opts.Faults.MaxRtmRetries = static_cast<unsigned>(U);
+      Opts.Faults.Limits.MaxRtmRetries = static_cast<unsigned>(U);
     } else if (Arg.rfind("--budget=", 0) == 0) {
       if (!parseUInt(Arg.substr(9), U) || U == 0)
         return badValue(Arg, "a positive integer");
-      Opts.Faults.MaxInstructions = U;
+      Opts.Faults.Limits.MaxInstructions = U;
     } else if (Arg.rfind("--vl=", 0) == 0) {
       if (!parseUInt(Arg.substr(5), U) ||
           !isa::VectorConfig::isValidBits(static_cast<unsigned>(U)))
@@ -306,7 +307,7 @@ int runLoop(const ir::LoopFunction &F, const core::PipelineResult &PR,
   mem::Memory &Image = In.Image;
   ir::Bindings &B = In.B;
 
-  core::RunOutcome Ref = core::runReference(F, Image, B);
+  core::RunOutcome Ref = core::runReferenceMulti(F, Image, {B});
   std::printf("== Run (trip=%lld, seed=%llu) ==\n",
               static_cast<long long>(Opts.Trip),
               static_cast<unsigned long long>(Opts.Seed));
@@ -336,20 +337,29 @@ int runLoop(const ir::LoopFunction &F, const core::PipelineResult &PR,
   addVariant("flexvec-adaptive", PR.Adaptive);
 
   ThreadPool Pool(Opts.Jobs);
-  std::vector<core::Measurement> Ms =
-      Pool.map<core::Measurement>(Variants.size(), [&](size_t I) {
-        return core::measureProgram(*Variants[I].second, Image, B);
-      });
+  struct Timed {
+    sim::SimStats Timing;
+    bool Correct;
+  };
+  std::vector<Timed> Ms = Pool.map<Timed>(Variants.size(), [&](size_t I) {
+    sim::OooCore Core;
+    core::RunOutcome Out =
+        core::runProgramMulti(F, *Variants[I].second, Image, {B}, &Core);
+    return Timed{Core.stats(), core::outcomesMatch(F, Ref, Out)};
+  });
 
   TextTable T({"variant", "cycles", "IPC", "speedup vs scalar", "correct"});
-  const core::Measurement &Base = Ms[0]; // Scalar is always first.
+  const sim::SimStats &Base = Ms[0].Timing; // Scalar is always first.
   for (size_t I = 0; I < Variants.size(); ++I) {
-    const core::Measurement &M = Ms[I];
+    const Timed &M = Ms[I];
     T.addRow({Variants[I].first,
               TextTable::fmtInt(static_cast<long long>(M.Timing.Cycles)),
               TextTable::fmt(M.Timing.ipc(), 2),
-              TextTable::fmt(core::speedup(Base, M), 2) + "x",
-              core::outcomesMatch(F, Ref, M.Outcome) ? "yes" : "NO"});
+              TextTable::fmt(static_cast<double>(Base.Cycles) /
+                                 static_cast<double>(M.Timing.Cycles),
+                             2) +
+                  "x",
+              M.Correct ? "yes" : "NO"});
   }
   T.print();
   return 0;
@@ -362,16 +372,17 @@ int runFaultDiff(const ir::LoopFunction &F, const core::PipelineResult &PR,
   std::printf("== Differential fault-tolerance run ==\n");
   faults::FaultInjector Preview(Opts.Faults.Mem, Opts.Faults.Tx);
   std::printf("policy: %s, rtm-retries=%u, budget=%llu\n",
-              Preview.describe().c_str(), Opts.Faults.MaxRtmRetries,
-              static_cast<unsigned long long>(Opts.Faults.MaxInstructions));
+              Preview.describe().c_str(), Opts.Faults.Limits.MaxRtmRetries,
+              static_cast<unsigned long long>(
+                  Opts.Faults.Limits.MaxInstructions));
 
   int Divergences = 0;
   auto diffOne = [&](const char *Name,
                      const std::optional<codegen::CompiledLoop> &CL) {
     if (!CL)
       return;
-    core::DiffVerdict V = core::runDifferential(F, PR.Scalar, *CL, In.Image,
-                                                In.B, Opts.Faults);
+    core::DiffVerdict V = core::runDifferentialMulti(
+        F, PR.Scalar, *CL, In.Image, {In.B}, Opts.Faults);
     std::printf("\n[%s] %s\n", Name, V.describe().c_str());
     if (!V.Equivalent)
       ++Divergences;
