@@ -49,8 +49,8 @@ struct DriverOptions {
   bool Predicated = false;
   /// Thresholds compiled into the flexvec-adaptive dispatch prologue.
   AdaptiveConfig Adaptive;
-  /// When the post-codegen program verifier runs. Auto means "debug builds
-  /// always; release builds when FLEXVEC_VERIFY is set" (see
+  /// When the post-codegen program verifier runs. Auto means
+  /// FLEXVEC_VERIFY when set, else debug builds only (see
   /// driver/Verifier.h).
   enum class VerifyMode : uint8_t { Auto, On, Off };
   VerifyMode Verify = VerifyMode::Auto;

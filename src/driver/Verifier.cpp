@@ -1,8 +1,9 @@
 //===- driver/Verifier.cpp ------------------------------------------------===//
 
 #include "driver/Verifier.h"
+#include "support/Env.h"
 
-#include <cstdlib>
+#include <cstring>
 #include <string>
 
 using namespace flexvec;
@@ -332,12 +333,20 @@ bool indexInRange(const Reg &R) {
 } // namespace
 
 bool driver::verificationEnabled() {
+  static const bool Cached = [] {
+    const char *Env = envValue("FLEXVEC_VERIFY");
+    if (!Env) {
 #ifndef NDEBUG
-  return true;
+      return true;
 #else
-  const char *Env = std::getenv("FLEXVEC_VERIFY");
-  return Env && Env[0] != '\0' && !(Env[0] == '0' && Env[1] == '\0');
+      return false;
 #endif
+    }
+    if (std::strcmp(Env, "0") != 0 && std::strcmp(Env, "1") != 0)
+      rejectEnv("FLEXVEC_VERIFY", Env, "0 or 1");
+    return Env[0] == '1';
+  }();
+  return Cached;
 }
 
 std::vector<std::string> driver::verifyProgram(const Program &Prog) {

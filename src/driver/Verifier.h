@@ -31,9 +31,9 @@ namespace driver {
 /// and its disassembly.
 std::vector<std::string> verifyProgram(const isa::Program &Prog);
 
-/// Whether the program-verify pass should run: true in !NDEBUG builds and
-/// whenever the FLEXVEC_VERIFY environment variable is set to a non-empty,
-/// non-"0" value.
+/// Whether the program-verify pass should run. FLEXVEC_VERIFY=1 turns it
+/// on and FLEXVEC_VERIFY=0 off in every build; unset or empty means on in
+/// !NDEBUG builds and off otherwise. Any other value exits 2.
 bool verificationEnabled();
 
 } // namespace driver

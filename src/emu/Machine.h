@@ -239,9 +239,6 @@ struct RunLimits {
   /// capacity, explicit, nested) dispatch immediately. Defaults to the
   /// FLEXVEC_RTM_RETRIES environment variable when set, else 4.
   unsigned MaxRtmRetries = defaultRtmRetries();
-  /// Cap on the exponential-backoff shift: retry k stalls 2^min(k, cap)
-  /// simulated cycles.
-  unsigned MaxRtmBackoffShift = 16;
   /// Lane-kernel backend; Auto defers to FLEXVEC_SIMD.
   SimdBackend Simd = SimdBackend::Auto;
 };

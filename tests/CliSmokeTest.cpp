@@ -317,6 +317,7 @@ TEST(EnvKnobs, MalformedValuesRejectedByEveryBinary) {
       {"FLEXVEC_SIMD", "Native"},
       {"FLEXVEC_RTM_RETRIES", "many"},
       {"FLEXVEC_RTM_RETRIES", "-1"},
+      {"FLEXVEC_VERIFY", "yes"},
   };
   for (const auto &[Var, Value] : Bad)
     for (const std::string &Cmd : Runs) {
@@ -341,8 +342,9 @@ TEST(EnvKnobs, MalformedFaultSeedRejectedByBench) {
 TEST(EnvKnobs, EmptyValueMeansUnset) {
   // CI exports FLEXVEC_VL='' on legs that do not pin a width: the run
   // must take the 512-bit default (16 i32 lanes).
-  CmdResult R = run("FLEXVEC_VL= FLEXVEC_SIMD= FLEXVEC_RTM_RETRIES= " + Cli +
-                    " " + Argmin + " --trip=64 --run");
+  CmdResult R = run("FLEXVEC_VL= FLEXVEC_SIMD= FLEXVEC_RTM_RETRIES= "
+                    "FLEXVEC_VERIFY= " +
+                    Cli + " " + Argmin + " --trip=64 --run");
   EXPECT_EQ(R.Exit, 0) << R.Output;
   EXPECT_NE(R.Output.find("VL=16;"), std::string::npos) << R.Output;
 }
